@@ -1106,7 +1106,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MEMO_SIZE,
         help="bound on each program's value->output dispatch memo; repeated "
-        "values skip regex work entirely (default "
+        "values skip regex work entirely, and the memo parks itself while "
+        "its hit rate stays under 5%% (default "
         f"{DEFAULT_MEMO_SIZE}; 0 disables memoization)",
     )
     apply_cmd.add_argument(

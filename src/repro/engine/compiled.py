@@ -15,7 +15,10 @@ half should be as close to raw regex matching as Python allows.
   per token,
 * every plan into a flat tuple of ops — constant strings and 0-based
   capture-group slices — with ``Extract`` ranges bounds-checked against
-  the branch pattern at compile time,
+  the branch pattern at compile time, and those ops into one
+  ``str.format`` template (constant braces escaped, one positional
+  field per extracted group), so rendering an output is a single
+  ``render(*match.groups())`` call,
 * every guard into a bound predicate (unguarded branches pay nothing),
 * the maximal leading run of *unguarded* branches into one merged
   dispatch regex (an alternation with per-branch group namespaces), so
@@ -37,7 +40,13 @@ At run time two further optimizations apply:
   LRU (``memo_size`` entries, least-recently-used eviction) lets
   repeated values skip regex work entirely.  The memo is a runtime
   knob — it is not part of the artifact, does not affect equality or
-  serialization, and ``memo_size=0`` disables it.
+  serialization, and ``memo_size=0`` disables it.  On mostly-distinct
+  columns a memo is pure dict churn, so one bypass policy, shared by
+  :meth:`~CompiledProgram.run_one` and :meth:`~CompiledProgram.run`,
+  judges it per window of misses: a window under 5% hits parks the memo
+  for a fixed stretch of values, after which a new window probes it
+  again.  Bypassed values still count as misses, so ``hits + misses``
+  is always the number of values seen.
 
 A compiled program is immutable in its observable behaviour, safe to
 share across threads (the memo tolerates concurrent access: entries are
@@ -75,9 +84,13 @@ PlanOp = Union[str, Tuple[int, int]]
 #: Default bounded-LRU size for the per-program value memo.
 DEFAULT_MEMO_SIZE = 4096
 
-#: Batch misses tolerated before :meth:`CompiledProgram.run` checks the
-#: hit rate and bypasses a memo that is clearly not paying for itself.
+#: Memo misses per probe window.  When a window closes with a hit rate
+#: under 5%, the memo is bypassed for the next stretch of values.
 _MEMO_BYPASS_WINDOW = 1024
+
+#: Values that skip the memo after a losing window, before it is probed
+#: again (so a column that turns heavy-hitter wins the memo back).
+_MEMO_BYPASS_STRETCH = 16 * _MEMO_BYPASS_WINDOW
 
 
 def _compile_plan_ops(
@@ -114,10 +127,26 @@ def _compile_plan_ops(
     return tuple(ops)
 
 
+def _plan_renderer(ops: Tuple[PlanOp, ...], base: int = 0) -> Callable[..., str]:
+    """A ``str.format`` template for ``ops``, called as ``render(*groups)``.
+
+    Constant text is brace-escaped; each group slice becomes one
+    positional field per capture group, offset by ``base`` (a branch's
+    group offset inside the merged regex).
+    """
+    parts: List[str] = []
+    for op in ops:
+        if type(op) is str:
+            parts.append(op.replace("{", "{{").replace("}", "}}"))
+        else:
+            parts.extend(f"{{{group + base}}}" for group in range(op[0], op[1]))
+    return "".join(parts).format
+
+
 class _CompiledBranch:
     """One precompiled Switch arm of the dispatch table."""
 
-    __slots__ = ("pattern", "match", "guard", "ops")
+    __slots__ = ("pattern", "match", "guard", "ops", "render")
 
     def __init__(self, branch: Branch, index: int) -> None:
         self.pattern = branch.pattern
@@ -128,19 +157,20 @@ class _CompiledBranch:
         self.ops = _compile_plan_ops(
             branch.plan, len(branch.pattern), branch.pattern, index
         )
+        self.render = _plan_renderer(self.ops)
 
 
 def _build_merged_dispatch(
     branches: Sequence[_CompiledBranch],
-) -> Tuple[Optional[Callable[[str], Optional[re.Match[str]]]], Tuple[int, ...], Tuple[Tuple[PlanOp, ...], ...], int]:
+) -> Tuple[Optional[Callable[[str], Optional[re.Match[str]]]], Tuple[int, ...], Tuple[Callable[..., str], ...], int]:
     """Merge the leading unguarded branches into one alternation regex.
 
-    Returns ``(match, group_to_branch, shifted_plans, prefix)`` where
+    Returns ``(match, group_to_branch, shifted_renders, prefix)`` where
     ``prefix`` is how many leading branches the merged regex covers.
     ``group_to_branch`` maps a 1-based capture-group number to the index
-    of the branch that owns it, and ``shifted_plans[i]`` is branch
-    ``i``'s op tuple with every group slice offset by the branch's group
-    base, so the ops index directly into the merged match's ``groups()``.
+    of the branch that owns it, and ``shifted_renders[i]`` renders
+    branch ``i``'s plan with every group field offset by the branch's
+    group base, so it takes the merged match's ``groups()`` directly.
 
     A merged regex is only built when at least two leading branches are
     unguarded — a guard is a per-value veto the alternation cannot
@@ -156,7 +186,7 @@ def _build_merged_dispatch(
         return None, (), (), 0
     alternatives: List[str] = []
     group_to_branch: List[int] = [-1]  # capture-group numbers are 1-based
-    shifted_plans: List[Tuple[PlanOp, ...]] = []
+    shifted_renders: List[Callable[..., str]] = []
     for index in range(prefix):
         branch = branches[index]
         tokens = branch.pattern.tokens
@@ -171,14 +201,9 @@ def _build_merged_dispatch(
             # participates on that match, keeping lastindex dispatch valid.
             alternatives.append("()")
             group_to_branch.append(index)
-        shifted_plans.append(
-            tuple(
-                op if type(op) is str else (op[0] + base, op[1] + base)
-                for op in branch.ops
-            )
-        )
+        shifted_renders.append(_plan_renderer(branch.ops, base))
     merged = re.compile("^(?:" + "|".join(alternatives) + ")$")
-    return merged.match, tuple(group_to_branch), tuple(shifted_plans), prefix
+    return merged.match, tuple(group_to_branch), tuple(shifted_renders), prefix
 
 
 class CompiledProgram:
@@ -219,9 +244,11 @@ class CompiledProgram:
         "_memo_size",
         "_memo_hits",
         "_memo_misses",
+        "_probe_start",
+        "_probe_hits",
         "_merged_match",
         "_group_to_branch",
-        "_merged_plans",
+        "_merged_renders",
         "_merged_prefix",
     )
 
@@ -260,17 +287,22 @@ class CompiledProgram:
         )
         self._memo_hits = 0
         self._memo_misses = 0
+        # Bypass policy state (see _close_probe_window): the memo is
+        # parked while _memo_misses < _probe_start, and _probe_hits is
+        # _memo_hits as of the current probe window's start.
+        self._probe_start = 0
+        self._probe_hits = 0
         if merged_dispatch:
             (
                 self._merged_match,
                 self._group_to_branch,
-                self._merged_plans,
+                self._merged_renders,
                 self._merged_prefix,
             ) = _build_merged_dispatch(self._branches)
         else:
             self._merged_match = None
             self._group_to_branch = ()
-            self._merged_plans = ()
+            self._merged_renders = ()
             self._merged_prefix = 0
 
     # ------------------------------------------------------------------
@@ -321,6 +353,8 @@ class CompiledProgram:
             self._memo.clear()
         self._memo_hits = 0
         self._memo_misses = 0
+        self._probe_start = 0
+        self._probe_hits = 0
 
     def __len__(self) -> int:
         return len(self._program)
@@ -342,10 +376,14 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _transform(self, value: str) -> TransformOutcome:
-        """Compute one value's outcome, without consulting the memo."""
+    def _dispatch(self, value: str) -> Tuple[str, Optional[Pattern]]:
+        """One value's ``(output, matched pattern)``, without the memo.
+
+        The pattern is the target for pass-through values and ``None``
+        for values no branch matches (output = input).
+        """
         if self._target_match(value) is not None:
-            return TransformOutcome(output=value, matched=True, pattern=self._target)
+            return value, self._target
         merged_match = self._merged_match
         if merged_match is not None:
             match = merged_match(value)
@@ -353,40 +391,34 @@ class CompiledProgram:
                 last = match.lastindex
                 assert last is not None  # every alternative has >= 1 group
                 index = self._group_to_branch[last]
-                groups = match.groups()
-                output = "".join(
-                    op if type(op) is str else "".join(groups[op[0] : op[1]])
-                    for op in self._merged_plans[index]
-                )
-                return TransformOutcome(
-                    output=output, matched=True, pattern=self._branches[index].pattern
+                return (
+                    self._merged_renders[index](*match.groups()),
+                    self._branches[index].pattern,
                 )
         for branch in self._branches[self._merged_prefix :]:
             guard = branch.guard
             if guard is not None and not guard(value):
                 continue
             match = branch.match(value)
-            if match is None:
-                continue
-            groups = match.groups()
-            output = "".join(
-                op if type(op) is str else "".join(groups[op[0] : op[1]])
-                for op in branch.ops
-            )
-            return TransformOutcome(output=output, matched=True, pattern=branch.pattern)
-        return TransformOutcome(output=value, matched=False, pattern=None)
+            if match is not None:
+                return branch.render(*match.groups()), branch.pattern
+        return value, None
 
     def run_one(self, value: str) -> TransformOutcome:
         """Transform one value (memo, then merged dispatch, then branch loop)."""
         memo = self._memo
-        if memo is None:
-            return self._transform(value)
+        if memo is None or self._memo_misses < self._probe_start:
+            output, pattern = self._dispatch(value)
+            if memo is not None:
+                self._memo_misses += 1  # parked: still counts as a miss
+            return TransformOutcome(output, pattern is not None, pattern)
         outcome = memo.pop(value, None)
         if outcome is not None:
             memo[value] = outcome  # re-insert: most-recently-used position
             self._memo_hits += 1
             return outcome
-        outcome = self._transform(value)
+        output, pattern = self._dispatch(value)
+        outcome = TransformOutcome(output, pattern is not None, pattern)
         self._memo_misses += 1
         memo[value] = outcome
         if len(memo) > self._memo_size:
@@ -394,105 +426,57 @@ class CompiledProgram:
                 del memo[next(iter(memo))]  # oldest = least recently used
             except (KeyError, StopIteration):  # pragma: no cover - thread race
                 pass
+        if self._memo_misses - self._probe_start >= _MEMO_BYPASS_WINDOW:
+            self._close_probe_window()
         return outcome
+
+    def _close_probe_window(self) -> None:
+        """Judge the memo after a window of misses; park it if it lost.
+
+        Mostly-distinct streams turn the memo into pure dict churn (an
+        LRU sees a cyclic stream larger than itself as 100% misses), so
+        a window whose hit rate is under 5% parks the memo for the next
+        :data:`_MEMO_BYPASS_STRETCH` values; then a new window probes it
+        again.  Parking is kept on the miss counter itself: the memo is
+        parked while ``_memo_misses < _probe_start``, and parked values
+        count as misses, so the stretch ends after exactly that many.
+        """
+        misses = self._memo_misses
+        if (self._memo_hits - self._probe_hits) * 19 < misses - self._probe_start:
+            misses += _MEMO_BYPASS_STRETCH
+        self._probe_start = misses
+        self._probe_hits = self._memo_hits
 
     def run(self, values: Sequence[str]) -> TransformReport:
         """Batch-transform ``values`` into a :class:`TransformReport`.
 
-        Semantically identical to calling :meth:`run_one` per value, but
-        with the dispatch table and memo bound to locals for the tight
-        loop.
+        Semantically identical to calling :meth:`run_one` per value, and
+        sharing its memo policy; values the memo skips (all of them when
+        it is disabled) are dispatched without building an outcome each.
         """
         inputs = list(values)
         outputs: List[str] = []
         matched: List[Optional[Pattern]] = []
         append_output = outputs.append
         append_matched = matched.append
-        target = self._target
-        target_match = self._target_match
-        branches = self._branches
-        tail = branches[self._merged_prefix :]
-        merged_match = self._merged_match
-        group_to_branch = self._group_to_branch
-        merged_plans = self._merged_plans
+        dispatch = self._dispatch
+        run_one = self.run_one
         memo = self._memo
-        memo_size = self._memo_size
-        memo_pop = memo.pop if memo is not None else None
-        hits = 0
-        misses = 0
-        join = "".join
         for value in inputs:
-            if memo_pop is not None:
-                cached = memo_pop(value, None)
-                if cached is not None:
-                    memo[value] = cached  # type: ignore[index]
-                    hits += 1
-                    append_output(cached.output)
-                    append_matched(cached.pattern)
-                    continue
-            pattern: Optional[Pattern]
-            if target_match(value) is not None:
-                output = value
-                pattern = target
+            if memo is None or self._memo_misses < self._probe_start:
+                output, pattern = dispatch(value)
+                if memo is not None:
+                    self._memo_misses += 1
             else:
-                output = value
-                pattern = None
-                if merged_match is not None:
-                    merged = merged_match(value)
-                    if merged is not None:
-                        last = merged.lastindex
-                        assert last is not None
-                        index = group_to_branch[last]
-                        groups = merged.groups()
-                        output = join(
-                            op if type(op) is str else join(groups[op[0] : op[1]])
-                            for op in merged_plans[index]
-                        )
-                        pattern = branches[index].pattern
-                if pattern is None:
-                    for branch in tail:
-                        guard = branch.guard
-                        if guard is not None and not guard(value):
-                            continue
-                        match = branch.match(value)
-                        if match is None:
-                            continue
-                        groups = match.groups()
-                        output = join(
-                            op if type(op) is str else join(groups[op[0] : op[1]])
-                            for op in branch.ops
-                        )
-                        pattern = branch.pattern
-                        break
-            if memo is not None:
-                misses += 1
-                if memo_pop is not None:
-                    memo[value] = TransformOutcome(
-                        output=output, matched=pattern is not None, pattern=pattern
-                    )
-                    if len(memo) > memo_size:
-                        try:
-                            del memo[next(iter(memo))]
-                        except (KeyError, StopIteration):  # pragma: no cover - thread race
-                            pass
-                    # Mostly-distinct batches turn the memo into pure
-                    # dict churn (an LRU sees a cyclic stream larger
-                    # than itself as 100% misses), so once a warm-up
-                    # window shows the hit rate stuck under ~5%, stop
-                    # consulting it for the rest of this batch.  Misses
-                    # still count, so memo_stats() reflects the stream.
-                    if misses > _MEMO_BYPASS_WINDOW and hits * 19 < misses:
-                        memo_pop = None
+                outcome = run_one(value)
+                output, pattern = outcome.output, outcome.pattern
             append_output(output)
             append_matched(pattern)
-        if memo is not None:
-            self._memo_hits += hits
-            self._memo_misses += misses
         return TransformReport(
             inputs=inputs,
             outputs=outputs,
             matched_pattern=matched,
-            target=target,
+            target=self._target,
         )
 
     # ------------------------------------------------------------------

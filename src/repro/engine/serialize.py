@@ -207,7 +207,17 @@ def encode_rows_csv(rows: List[List[str]], delimiter: str = ",") -> str:
     containing ``\\r`` therefore take a manual minimal-quoting path that
     treats ``\\r`` like the line break it is; all other rows keep the
     C writer's exact bytes.
+
+    The whole chunk is encoded in one ``writerows`` call first.  The C
+    writer copies a cell's ``\\r`` into its output, so when that output
+    holds no ``\\r`` no cell had one and the text is final; otherwise
+    the chunk is re-encoded row by row.
     """
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    text = buffer.getvalue()
+    if "\r" not in text:
+        return text
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     for row in rows:

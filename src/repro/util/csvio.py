@@ -11,11 +11,18 @@ that kind of messy value is this project's bread and butter.
 :func:`record_open_after` walks a line with the same state machine the
 csv module applies (field-start quoting, ``""`` escapes, delimiter
 resets), carrying the open/closed state across lines of the same
-record.  :func:`record_aligned_offsets` lifts that state machine to
-whole files: one sequential quote-parity scan maps any set of byte
-targets to the nearest *record* boundaries at or past them, which is
-what lets byte-range fan-out shard files whose quoted fields contain
-embedded newlines.
+record.  It is on every framing path (worker chunking, the profiler's
+single-record check, the header scan), so it costs next to nothing on
+the common line: one that starts a record and holds no quote returns
+``False`` after a single ``in`` test, and a line with quotes jumps
+from quote to quote with ``str.find`` instead of stepping through
+every character.
+
+:func:`record_aligned_offsets` lifts that state machine to whole
+files: one sequential quote-parity scan maps any set of byte targets to
+the nearest *record* boundaries at or past them, which is what lets
+byte-range fan-out shard files whose quoted fields contain embedded
+newlines.
 """
 
 from __future__ import annotations
@@ -70,31 +77,38 @@ def record_open_after(line: str, delimiter: str, open_before: bool = False) -> b
         ``True`` when the line ends inside a quoted field, i.e. the
         record continues on the next physical line.
     """
+    if not open_before and QUOTE not in line:
+        return False  # no quote to open a field with: nothing to track
+    find = line.find
+    # Characters that leave the field-start state alone (the csv module
+    # skips line breaks there), unless one of them is the delimiter.
+    neutral = "\r\n".replace(delimiter, "")
     in_quotes = open_before
     # A quote is only special at the start of a field; when resuming a
     # continuation line we are mid-field by definition.
     field_start = not open_before
-    position, length = 0, len(line)
-    while position < length:
-        char = line[position]
+    position = 0
+    while True:
+        quote = find(QUOTE, position)
+        if quote < 0:
+            return in_quotes
         if in_quotes:
-            if char == QUOTE:
-                if position + 1 < length and line[position + 1] == QUOTE:
-                    position += 2  # "" escape: stays inside the field
-                    continue
-                in_quotes = False
-            position += 1
+            if line.startswith(QUOTE, quote + 1):
+                position = quote + 2  # "" escape: stays inside the field
+                continue
+            in_quotes = False
         else:
-            if char == QUOTE:
-                if field_start:
-                    in_quotes = True
-                field_start = False
-            elif char == delimiter:
-                field_start = True
-            elif char not in ("\r", "\n"):
-                field_start = False
-            position += 1
-    return in_quotes
+            # The quote opens a field iff the last character before it
+            # that is not a line break is a delimiter; with none since
+            # ``position``, the field-start state carries over.
+            back = quote - 1
+            while back >= position and line[back] in neutral:
+                back -= 1
+            if back >= position:
+                field_start = line[back] == delimiter
+            in_quotes = field_start
+        field_start = False
+        position = quote + 1
 
 
 def record_aligned_offsets(

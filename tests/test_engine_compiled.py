@@ -9,7 +9,12 @@ from repro.core.transformer import transform_column
 from repro.dsl.ast import AtomicPlan, Branch, ConstStr, Extract, UniFiProgram
 from repro.dsl.guards import ContainsGuard
 from repro.dsl.interpreter import apply_program
-from repro.engine.compiled import CompiledProgram, compile_program
+from repro.engine.compiled import (
+    _MEMO_BYPASS_STRETCH,
+    _MEMO_BYPASS_WINDOW,
+    CompiledProgram,
+    compile_program,
+)
 from repro.patterns.parse import parse_pattern
 from repro.util.errors import SerializationError, TransformError, ValidationError
 
@@ -21,6 +26,14 @@ def _bypassed_extract(start, end):
     object.__setattr__(expression, "start", start)
     object.__setattr__(expression, "end", end)
     return expression
+
+
+def _distinct_phones(count, offset=0):
+    """``count`` distinct, well-formed phones in the "(ddd) ddd-dddd" shape."""
+    return [
+        f"({200 + i // 10_000}) {100 + i // 10 % 900}-{i % 10_000:04d}"
+        for i in range(offset, offset + count)
+    ]
 
 
 @pytest.fixture
@@ -287,6 +300,57 @@ class TestMemoDispatch:
         assert stats["misses"] == len(stream)  # bypassed values still count
         assert stats["entries"] <= fast.memo_size
 
+    def test_run_one_bypasses_memo_when_values_never_repeat(self, phone_session):
+        # The table apply path calls run_one per value, so the bypass
+        # must live there too, not only in batch run().
+        artifact = phone_session.compile().dumps()
+        fast = CompiledProgram.loads(artifact)
+        naive = CompiledProgram.loads(artifact, memo_size=0, merged_dispatch=False)
+        stream = _distinct_phones(3000)
+        assert [fast.run_one(value) for value in stream] == [
+            naive.run_one(value) for value in stream
+        ]
+        stats = fast.memo_stats()
+        assert stats["hits"] + stats["misses"] == len(stream)
+        assert stats["entries"] <= fast.memo_size
+        assert stats["entries"] < len(stream)  # the memo was bypassed
+
+    def test_reprobe_wins_the_memo_back_for_heavy_hitters(self, phone_session):
+        compiled = CompiledProgram.loads(phone_session.compile().dumps())
+        for value in _distinct_phones(_MEMO_BYPASS_WINDOW):
+            compiled.run_one(value)
+        # The window closed with no hits: the memo is parked for a
+        # stretch, so even a hot value misses throughout it.
+        hot = _distinct_phones(20, offset=500_000)
+        for index in range(_MEMO_BYPASS_STRETCH):
+            compiled.run_one(hot[index % len(hot)])
+        assert compiled.memo_stats()["hits"] == 0
+        # Then a new window probes the memo again and the hot values hit.
+        tail = hot * 100
+        for value in tail:
+            compiled.run_one(value)
+        stats = compiled.memo_stats()
+        assert stats["hits"] == len(tail) - len(hot)
+        assert stats["hits"] + stats["misses"] == (
+            _MEMO_BYPASS_WINDOW + _MEMO_BYPASS_STRETCH + len(tail)
+        )
+
+    def test_run_and_run_one_share_the_memo_policy(self, phone_session):
+        artifact = phone_session.compile().dumps()
+        batch = CompiledProgram.loads(artifact)
+        single = CompiledProgram.loads(artifact)
+        hot = _distinct_phones(20, offset=500_000)
+        stream = (
+            _distinct_phones(_MEMO_BYPASS_WINDOW + _MEMO_BYPASS_STRETCH // 2)
+            + hot * (_MEMO_BYPASS_STRETCH // 20)
+            + ["nonsense"] * 3
+        )
+        report = batch.run(stream)
+        outcomes = [single.run_one(value) for value in stream]
+        assert report.outputs == [outcome.output for outcome in outcomes]
+        assert batch.memo_stats() == single.memo_stats()
+        assert batch.memo_stats()["hits"] > 0
+
     def test_run_one_uses_memo(self, phone_session):
         compiled = CompiledProgram.loads(phone_session.compile().dumps())
         first = compiled.run_one("(734) 330-9426")
@@ -466,3 +530,27 @@ class TestMergedDispatch:
         assert compiled.run_one("555.0199").output == "555-0199"
         assert compiled.run_one("(734) 555-0199").output == "734-555-0199"
         assert not compiled.run_one("not a phone").matched
+
+    @pytest.mark.parametrize("merged", [True, False])
+    def test_braces_in_constant_text_render_literally(self, merged):
+        # Plans render through str.format templates, so constant text
+        # must have its braces escaped.
+        program = UniFiProgram(
+            [
+                Branch(
+                    parse_pattern("<D>3'.'<D>4"),
+                    AtomicPlan([ConstStr("{"), Extract(1), ConstStr("}{0}"), Extract(3)]),
+                ),
+                Branch(
+                    parse_pattern("<L>+"),
+                    AtomicPlan([ConstStr("{{x}}"), Extract(1), ConstStr("}")]),
+                ),
+            ]
+        )
+        compiled = CompiledProgram(
+            program, parse_pattern("'#'"), memo_size=0, merged_dispatch=merged
+        )
+        assert compiled.merged_dispatch is merged
+        for value in ("555.0199", "words"):
+            assert compiled.run_one(value).output == apply_program(program, value).output
+        assert compiled.run_one("555.0199").output == "{555}{0}0199"

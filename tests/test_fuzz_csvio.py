@@ -17,7 +17,10 @@ and asserts, at random shard boundaries:
    records end;
 2. aligned offsets always land on true record starts;
 3. byte-range profiling equals whole-file profiling (the lifted
-   embedded-newline caveat), at multiple worker counts.
+   embedded-newline caveat), at multiple worker counts;
+4. the quote-free exit and quote-to-quote jumps of
+   :func:`record_open_after` agree with a per-character reference
+   state machine, for both carried states and several delimiters.
 
 Seeds print per test; replay with ``CLX_PROPERTY_SEED=<seed>``.
 """
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import csv
 import io
+
+import pytest
 
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.parallel import ParallelProfiler
@@ -98,6 +103,81 @@ class TestRecordOpenAfter:
             # And the csv module parses the text back to the same rows,
             # so the fuzz corpus itself is well-formed.
             assert list(csv.reader(io.StringIO(text))) == rows, context
+
+
+def _reference_record_open_after(line: str, delimiter: str, open_before: bool) -> bool:
+    """The per-character csv state machine ``record_open_after`` must equal."""
+    in_quotes = open_before
+    field_start = not open_before
+    position, length = 0, len(line)
+    while position < length:
+        char = line[position]
+        if in_quotes:
+            if char == '"':
+                if position + 1 < length and line[position + 1] == '"':
+                    position += 2
+                    continue
+                in_quotes = False
+            position += 1
+        else:
+            if char == '"':
+                if field_start:
+                    in_quotes = True
+                field_start = False
+            elif char == delimiter:
+                field_start = True
+            elif char not in ("\r", "\n"):
+                field_start = False
+            position += 1
+    return in_quotes
+
+
+#: Lines that stress the quote-free exit and the quote-to-quote jumps.
+_HAND_PICKED_LINES = (
+    "continuation without quotes\n",  # must stay open when open_before
+    "a,b,c\n",
+    '7,6" nail,box\n',  # stray mid-field quote is data
+    'x,"6"" nail",y\n',
+    '"""",""\n',
+    '"a""b\n',
+    'tail"" of a field",z\n',
+    '"lone\rcr",x\r\n',
+    "a,\r\n",
+    'a,\r"opened after a line break\n',
+    '"",\r\n',
+    "\r",
+    "\r\n",
+    "",
+    'a;"b;c";d\n',
+    'a\t"b\tc"\td\n',
+    'a,"b;c\n',
+)
+
+
+class TestRecordOpenAfterMatchesReference:
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    @pytest.mark.parametrize("open_before", [False, True])
+    def test_hand_picked_lines(self, delimiter, open_before):
+        for line in _HAND_PICKED_LINES:
+            assert record_open_after(line, delimiter, open_before) == (
+                _reference_record_open_after(line, delimiter, open_before)
+            ), (line, delimiter, open_before)
+
+    def test_quote_free_continuation_stays_open(self):
+        assert record_open_after("no quote here\n", ",", True) is True
+        assert record_open_after("no quote here\n", ",", False) is False
+
+    def test_fuzzed_physical_lines(self, property_rng):
+        rng = property_rng
+        for round_index in range(ROUNDS):
+            text, _rows = _random_csv(rng)
+            context = f"seed={rng.seed_value} round={round_index}"
+            for line in text.splitlines(keepends=True):
+                for delimiter in (",", ";", "\t"):
+                    for open_before in (False, True):
+                        assert record_open_after(line, delimiter, open_before) == (
+                            _reference_record_open_after(line, delimiter, open_before)
+                        ), (context, line, delimiter, open_before)
 
 
 class TestRecordAlignedOffsets:
