@@ -3,41 +3,35 @@
 :class:`~repro.clustering.incremental.IncrementalProfiler` made one core
 profile arbitrarily large columns in bounded memory, and
 :meth:`~repro.clustering.incremental.ColumnProfile.merge` made the
-result associative.  This module supplies the missing piece: the shard
-*sources*.  :class:`ParallelProfiler` splits the input, profiles every
-shard in a separate process, and reduces with
+result associative.  :class:`ParallelProfiler` supplies the shard
+sources: it profiles every shard in a worker process and reduces in
+input order with
 :meth:`~repro.clustering.incremental.ColumnProfile.merge_all`, producing
 the same leaf patterns and counts — and therefore the same lowered
 :class:`~repro.clustering.hierarchy.PatternHierarchy` — as the serial
 pass.
 
-Three shard sources are supported:
+Two shard sources are supported:
 
 * **iterables** (:meth:`ParallelProfiler.profile`) — chunks of values
   are fanned out through a bounded in-flight window, so a generator
   over a huge stream is pulled at the pace shard profiles come back;
-* **CSV files on disk** (:meth:`ParallelProfiler.profile_file`) —
-  the file is split into newline-aligned **byte ranges**, one per
-  worker, and each worker parses its own range; the parent process
-  never touches a single data row.  When a quoted field turns out to
-  contain an embedded newline, the split is transparently redone on
-  **record** boundaries (one cheap quote-parity scan in the parent —
-  :func:`~repro.util.csvio.record_aligned_offsets`), so such files
-  profile correctly at any worker count;
-* **partitioned datasets** (:meth:`ParallelProfiler.profile_dataset`) —
-  every part of a :class:`~repro.dataset.dataset.Dataset` becomes one
-  or more shards (worker slots are allotted to parts by size), merged
-  in stable part order.  Line-record parts (CSV/JSONL) shard on byte
-  ranges; rowgroup parts (parquet/arrow) shard on row-group index
-  ranges through their IO backend
-  (:meth:`~repro.dataset.backends.base.Backend.plan_shards`), and
-  remote parts stream through the opener seam — the shard worker never
-  cares which it got.
+* **partitioned datasets** (:meth:`ParallelProfiler.profile_dataset`,
+  and :meth:`ParallelProfiler.profile_file` for one CSV file) — every
+  part is split by the backend shard planner
+  (:meth:`~repro.dataset.backends.base.Backend.plan_shards`), the same
+  record-aligned planner apply uses: exact byte ranges for CSV/JSONL
+  (quoted embedded newlines included), row-group ranges for
+  Parquet/Arrow.  Each worker reads its own shard through
+  :meth:`~repro.dataset.backends.base.Backend.read_shard_lines`; the
+  parent reads only headers and the cut scan.
 
-With one worker every entry point degrades to the serial profiler in
-process — no pool is spawned.  A worker process that dies mid-shard
-raises :class:`~repro.util.errors.CLXError` in the parent instead of
-hanging it.
+With one worker every entry point runs the serial profiler in process
+and no pool is spawned.  Otherwise the work runs on a
+:class:`~repro.util.pools.ResilientPool`, so a worker process that dies
+mid-shard has its window replayed once and then raises
+:class:`~repro.util.errors.CLXError` in the parent instead of hanging
+it.
 """
 
 from __future__ import annotations
@@ -46,34 +40,43 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.clustering.hierarchy import PatternHierarchy
 from repro.clustering.incremental import ColumnProfile, IncrementalProfiler
-from repro.dataset.backends import backend_by_name, open_locator
-from repro.dataset.dataset import Dataset
-from repro.dataset.readers import jsonl_value, parse_jsonl_row, read_csv_header
-from repro.util.csvio import record_aligned_offsets, record_open_after, resolve_column
-from repro.util.errors import CLXError, ValidationError
-from repro.util.pools import chunked, map_ordered
+from repro.dataset.backends import Shard, backend_by_name
+from repro.dataset.dataset import Dataset, DatasetPart
+from repro.dataset.readers import jsonl_value, parse_jsonl_row
+from repro.util.csvio import resolve_column
+from repro.util.errors import ValidationError
+from repro.util.faults import maybe_fire
+from repro.util.pools import ResilientPool, chunked
 from repro.util.validate import validated_chunk_size, validated_workers
 
 #: Default number of values per fan-out chunk for iterable inputs; large
 #: enough to amortize pickling, small enough to keep every worker busy.
 DEFAULT_CHUNK_ROWS = 16_384
 
+#: One shard-profiling task: the shard, the column (an index for headed
+#: parts, resolved against that part's header), and the CSV delimiter.
+ShardTask = Tuple[Shard, Union[str, int], str]
+
+Task = TypeVar("Task")
+
 # Worker global installed by the pool initializer (one pool profiles
 # exactly one column, so a module global is safe).
 _WORKER_PROFILER: Optional[IncrementalProfiler] = None
-
-
-class MultilineRecordError(ValidationError):
-    """A newline-aligned shard met a record spanning physical lines.
-
-    Raised inside a worker and caught by the parent, which retries the
-    file with record-aligned shard boundaries; it only escapes to
-    callers feeding shards by hand.
-    """
 
 
 def _init_profiler_worker(profiler: IncrementalProfiler) -> None:
@@ -87,174 +90,39 @@ def _profile_chunk(values: List[str]) -> ColumnProfile:
     return _WORKER_PROFILER.new_profile().observe_all(values)
 
 
-def _shard_lines(
-    path: str, start: int, end: int, encoding: str, skip_first: bool, exact: bool = False
-) -> Iterator[str]:
-    """Decoded physical lines of ``path`` owned by the shard [start, end).
+def _profile_shard(task: ShardTask) -> ColumnProfile:
+    """Read and profile one planned shard in a worker.
 
-    Two ownership rules, chosen by ``exact``:
-
-    * ``exact=False`` — the classic byte-range rule: a shard that does
-      not begin at the data start discards its first ``readline`` (that
-      line — whole or partial — was read to completion by the previous
-      shard) and then owns every line *beginning* at or before ``end``,
-      reading the last one past ``end`` if it straddles the boundary.
-      Contiguous shards therefore partition the file's lines exactly,
-      no matter where the byte boundaries fall.
-    * ``exact=True`` — ``start`` and ``end`` are known record
-      boundaries (from a quote-parity scan): the shard owns exactly the
-      lines beginning in ``[start, end)``, no skipping, no overshoot.
-
-    Opens through the locator seam (local path or registered URL
-    scheme).  An undecodable byte is rewrapped as a
-    :class:`~repro.util.errors.CLXError` naming the file and the
-    absolute byte offset of the offending byte, never a bare
-    ``UnicodeDecodeError``.
+    Line shards decode through the backend's exact byte-range reader,
+    so an undecodable byte names its file, line, and absolute offset
+    exactly as the serial pass does.  Rows shorter than the header
+    contribute ``""`` for a missing column and surplus cells are
+    ignored, like the streaming readers.
     """
-    with open_locator(path) as handle:
-        handle.seek(start)
-        if skip_first and not exact:
-            handle.readline()
-        while True:
-            position = handle.tell()
-            if position > end or (exact and position >= end):
-                return
-            raw = handle.readline()
-            if not raw:
-                return
-            try:
-                yield raw.decode(encoding)
-            except UnicodeDecodeError as error:
-                bad = raw[error.start] if error.start < len(raw) else 0
-                raise CLXError(
-                    f"{path}: invalid {encoding} byte 0x{bad:02x} at byte "
-                    f"offset {position + error.start}; re-encode the file "
-                    f"as {encoding} before profiling"
-                ) from None
-
-
-def _single_record_lines(lines: Iterable[str], delimiter: str, source: str) -> Iterator[str]:
-    """Pass lines through, flagging records that span physical lines.
-
-    Byte-range shards align on physical lines, so a quoted field with
-    an embedded newline parses differently depending on where the shard
-    boundaries fall — silent corruption.  The line that *opens* such a
-    field is owned by exactly one shard, and (until the first
-    multi-line record) every shard's scan starts at a true record
-    boundary, so checking each owned line with the csv module's own
-    quoting rules (:func:`~repro.util.csvio.record_open_after`; a stray
-    ``"`` in an unquoted cell is data, not a delimiter) catches such
-    files deterministically, whatever the boundaries.  The parent
-    answers :class:`MultilineRecordError` by re-splitting the file on
-    record boundaries and retrying.
-    """
-    for line in lines:
-        if record_open_after(line, delimiter):
-            raise MultilineRecordError(
-                f"{source}: a quoted field contains an embedded newline; "
-                "re-shard on record boundaries"
-            )
-        yield line
-
-
-@dataclass(frozen=True)
-class _FileShard:
-    """One picklable unit of shard profiling work.
-
-    Attributes:
-        path: Locator the shard reads (path or URL).
-        format: The part's IO backend name (``"csv"``, ``"jsonl"``,
-            ``"parquet"``, ...).
-        column: Column index (CSV) or key/column name to profile.
-        delimiter: CSV delimiter (ignored elsewhere).
-        encoding: Text encoding (line backends).
-        start: First byte of the shard — or, for rowgroup backends,
-            the first row-group index of the span.
-        end: First byte (row-group index) past the shard.
-        skip_first: Newline-aligned ownership rule (see
-            :func:`_shard_lines`).
-        exact: Both bounds are known record boundaries.
-        check_multiline: Raise :class:`MultilineRecordError` when a
-            record leaves a quoted field open across physical lines.
-    """
-
-    path: str
-    format: str
-    column: Union[str, int]
-    delimiter: str
-    encoding: str
-    start: int
-    end: int
-    skip_first: bool
-    exact: bool
-    check_multiline: bool
-
-
-def _profile_file_shard(shard: _FileShard) -> ColumnProfile:
-    """Profile one shard in a worker, dispatching through the backend."""
     assert _WORKER_PROFILER is not None, "worker used before initialization"
+    shard, column, delimiter = task
+    maybe_fire("worker.shard", key=f"{shard.path}:{shard.start}")
     profile = _WORKER_PROFILER.new_profile()
     backend = backend_by_name(shard.format)
     if not backend.line_records:
-        # Rowgroup shard: the backend streams one column of the row
-        # groups [start, end) already stringified.
         return profile.observe_all(
-            backend.iter_shard_values(shard.path, shard.start, shard.end, shard.column)
+            backend.iter_shard_values(shard.path, shard.start, shard.end, column)
         )
-    lines = _shard_lines(
-        shard.path, shard.start, shard.end, shard.encoding, shard.skip_first, shard.exact
+    lines = backend.read_shard_lines(
+        shard.path, shard.start, shard.end, first_line=shard.first_line
     )
     if backend.csv_quoting:
-        if shard.check_multiline:
-            lines = _single_record_lines(lines, shard.delimiter, shard.path)
-        column_index = shard.column
-        assert isinstance(column_index, int)
-        for row in csv.reader(lines, delimiter=shard.delimiter):
+        assert isinstance(column, int)
+        for row in csv.reader(lines, delimiter=delimiter):
             if not row:
                 continue  # blank line, as csv.DictReader skips them
-            profile.observe(row[column_index] if column_index < len(row) else "")
+            profile.observe(row[column] if column < len(row) else "")
     else:
-        for line in lines:
-            if not line.strip():
-                continue
-            profile.observe(jsonl_value(parse_jsonl_row(line, shard.path), shard.column))
+        assert isinstance(column, str)
+        for number, line in enumerate(lines, start=shard.first_line):
+            if line.strip():
+                profile.observe(jsonl_value(parse_jsonl_row(line, shard.path, number), column))
     return profile
-
-
-def _resolve_column_index(header: List[str], column: Union[str, int]) -> int:
-    """Resolve a column given by name or zero-based index against the header."""
-    return header.index(resolve_column(header, column))
-
-
-def _split_points(start: int, end: int, pieces: int) -> List[int]:
-    """``pieces`` contiguous span starts covering [start, end), ascending."""
-    span = max(1, (end - start + pieces - 1) // pieces)
-    return list(range(start, end, span))
-
-
-def _allot_spans(sizes: Sequence[int], workers: int) -> List[int]:
-    """Split ``workers`` span slots across parts, proportional to size.
-
-    Every part gets at least one span; leftover slots go to the largest
-    parts by the largest-remainder method, deterministically.
-    """
-    counts = [1] * len(sizes)
-    extra = workers - len(sizes)
-    if extra <= 0:
-        return counts
-    total = sum(sizes)
-    if total <= 0:
-        return counts
-    quotas = [extra * size / total for size in sizes]
-    for index, quota in enumerate(quotas):
-        counts[index] += int(quota)
-    leftover = extra - sum(int(quota) for quota in quotas)
-    by_remainder = sorted(
-        range(len(sizes)), key=lambda i: (-(quotas[i] - int(quotas[i])), i)
-    )
-    for index in by_remainder[:leftover]:
-        counts[index] += 1
-    return counts
 
 
 @dataclass
@@ -307,44 +175,27 @@ class ParallelProfiler:
         if self.workers == 1:
             return self.profiler.profile(values)
         merged: Optional[ColumnProfile] = None
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_profiler_worker,
-            initargs=(self.profiler,),
-        ) as pool:
-            shards = map_ordered(
-                pool, _profile_chunk, chunked(values, self.chunk_size), self.workers + 2
-            )
-            for shard in shards:
-                merged = shard if merged is None else merged.merge(shard)
+        chunks = enumerate(chunked(values, self.chunk_size))
+        for shard in self._map(_profile_chunk, chunks, self.workers, self.workers + 2):
+            merged = shard if merged is None else merged.merge(shard)
         if merged is None:
             merged = self.profiler.new_profile()
         return self._checked(merged)
 
     # ------------------------------------------------------------------
-    # Byte-range file fan-out
+    # Dataset (and single-file) fan-out
     # ------------------------------------------------------------------
     def profile_file(
         self,
         path: Union[str, Path],
         column: Union[str, int],
         delimiter: str = ",",
-        encoding: str = "utf-8",
     ) -> ColumnProfile:
-        """Profile one column of a CSV file via byte-range shards.
+        """Profile one column of a CSV file, whatever its suffix.
 
-        The parent reads only the header; the data region is split into
-        ``workers`` newline-aligned byte ranges and each worker parses
-        and profiles its own range, so CSV decoding itself runs on all
-        cores.  Rows shorter than the header contribute ``""`` for a
-        missing column and surplus cells are ignored, matching the
-        streaming profile path of the CLI.
-
-        Quoted fields containing embedded newlines are handled: a
-        worker that meets one flags the file, and the parent re-splits
-        it on **record** boundaries with one quote-parity scan
-        (:func:`~repro.util.csvio.record_aligned_offsets`) and retries,
-        so the result matches the serial pass at any worker count.
+        The file is a one-part CSV dataset handed to
+        :meth:`profile_dataset`, so it shards, decodes, and reports
+        errors exactly like a dataset part.
 
         Raises:
             ValidationError: If the header is missing, the column is
@@ -352,55 +203,24 @@ class ParallelProfiler:
                 does not ``allow_empty``).
         """
         source = Path(path)
-        header, data_start = read_csv_header(source, delimiter, encoding)
-        column_index = _resolve_column_index(header, column)
-        size = source.stat().st_size
+        part = DatasetPart(path=source, format="csv", size=source.stat().st_size)
+        return self.profile_dataset(Dataset([part]), column, delimiter)
 
-        if self.workers == 1 or size <= data_start:
-            reader = csv.reader(
-                _shard_lines(str(source), data_start, size, encoding, skip_first=False),
-                delimiter=delimiter,
-            )
-            values = (
-                row[column_index] if column_index < len(row) else ""
-                for row in reader
-                if row
-            )
-            profile = self.profiler.new_profile().observe_all(values)
-            return self._checked(profile)
-
-        shards = self._csv_shards(
-            source, data_start, size, column_index, delimiter, encoding,
-            spans=self.workers, record_aligned=False,
-        )
-        try:
-            return self._checked(self._run_file_shards(shards))
-        except MultilineRecordError:
-            shards = self._csv_shards(
-                source, data_start, size, column_index, delimiter, encoding,
-                spans=self.workers, record_aligned=True,
-            )
-            return self._checked(self._run_file_shards(shards))
-
-    # ------------------------------------------------------------------
-    # Partitioned-dataset fan-out
-    # ------------------------------------------------------------------
     def profile_dataset(
         self,
         dataset: Union[Dataset, str, Sequence[Union[str, Path]]],
         column: Union[str, int],
         delimiter: str = ",",
-        encoding: str = "utf-8",
     ) -> ColumnProfile:
         """Profile one column across every part of a partitioned dataset.
 
-        Each CSV/JSONL part contributes one or more byte-range shards
-        (worker slots are allotted to parts proportional to size), all
-        profiled through one pool and merged in stable part order — the
-        result has the same leaf patterns and counts as profiling the
-        concatenated column serially.  CSV parts get the same embedded-
-        newline retry as :meth:`profile_file`; JSONL parts are immune
-        (a JSON string cannot contain a literal newline).
+        The backend shard planner cuts the dataset into record-aligned
+        shards of about ``ceil(total bytes / workers)`` each — a small
+        part stays whole, a large one splits — and the shard profiles
+        merge in stable (part, offset) order, so the result has the same
+        leaf patterns and counts as profiling the concatenated column
+        serially.  Headed parts resolve ``column`` against their own
+        header.
 
         Args:
             dataset: A resolved :class:`~repro.dataset.dataset.Dataset`,
@@ -408,10 +228,10 @@ class ParallelProfiler:
                 globs, directories).
             column: Column name, or zero-based index (CSV parts only).
             delimiter: CSV delimiter.
-            encoding: Text encoding.
 
         Raises:
-            CLXError: If the specs resolve to no files.
+            CLXError: If the specs resolve to no files, or a shard holds
+                a byte that is not UTF-8 (naming file, line, and offset).
             ValidationError: If some part cannot supply the column, or
                 the dataset has no data rows (and the profiler does not
                 ``allow_empty``).
@@ -426,144 +246,50 @@ class ParallelProfiler:
             )
             return self._checked(profile)
 
-        shards = self._dataset_shards(dataset, column, delimiter, encoding)
-        if not shards:
+        tasks = list(self._shard_tasks(dataset, column, delimiter))
+        if not tasks:
             return self._checked(self.profiler.new_profile())
-        try:
-            return self._checked(self._run_file_shards(shards))
-        except MultilineRecordError:
-            shards = self._dataset_shards(
-                dataset, column, delimiter, encoding, record_aligned=True
-            )
-            return self._checked(self._run_file_shards(shards))
+        keyed = ((f"{task[0].path}:{task[0].start}", task) for task in tasks)
+        profiles = self._map(_profile_shard, keyed, min(self.workers, len(tasks)), len(tasks))
+        return self._checked(ColumnProfile.merge_all(list(profiles)))
 
     # ------------------------------------------------------------------
     # Shard planning and execution
     # ------------------------------------------------------------------
-    def _run_file_shards(self, shards: Sequence[_FileShard]) -> ColumnProfile:
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(shards)),
-            initializer=_init_profiler_worker,
-            initargs=(self.profiler,),
-        ) as pool:
-            profiles = list(map_ordered(pool, _profile_file_shard, shards, len(shards)))
-        return ColumnProfile.merge_all(profiles)
+    def _shard_tasks(
+        self, dataset: Dataset, column: Union[str, int], delimiter: str
+    ) -> Iterator[ShardTask]:
+        """Plan every part through its backend, in stable part order."""
+        shard_bytes = max(1, -(-dataset.total_size // self.workers))
+        indices: Dict[str, int] = {}
 
-    def _csv_shards(
-        self,
-        source: Union[str, Path],
-        data_start: int,
-        size: int,
-        column_index: int,
-        delimiter: str,
-        encoding: str,
-        spans: int,
-        record_aligned: bool,
-    ) -> List[_FileShard]:
-        """Byte-range shards over one CSV file's data region."""
-        if size <= data_start:
-            return []
-        locator = str(source)
-        starts = _split_points(data_start, size, spans)
-        if record_aligned:
-            starts = [data_start] + record_aligned_offsets(
-                locator, data_start, size, starts[1:], delimiter, encoding,
-                opener=open_locator,
-            )
-        bounds = starts + [size]
-        return [
-            _FileShard(
-                path=locator,
-                format="csv",
-                column=column_index,
-                delimiter=delimiter,
-                encoding=encoding,
-                start=start,
-                end=end,
-                skip_first=not record_aligned and start != data_start,
-                exact=record_aligned,
-                check_multiline=not record_aligned,
-            )
-            for start, end in zip(bounds, bounds[1:])
-            if start < end
-        ]
+        def resolve_index(locator: str, header: List[str]) -> None:
+            indices[locator] = header.index(resolve_column(header, column))
 
-    def _dataset_shards(
-        self,
-        dataset: Dataset,
-        column: Union[str, int],
-        delimiter: str,
-        encoding: str,
-        record_aligned: bool = False,
-    ) -> List[_FileShard]:
-        """One or more shards per dataset part, in stable part order.
-
-        Line-record parts shard on byte ranges; rowgroup parts shard on
-        row-group index ranges through
-        :meth:`~repro.dataset.backends.base.Backend.plan_shards`, sized
-        so each part still contributes roughly its allotted span count.
-        """
-        parts = dataset.parts
-        counts = _allot_spans([part.size for part in parts], self.workers)
-        shards: List[_FileShard] = []
-        for part, spans in zip(parts, counts):
+        for part in dataset.parts:
             backend = backend_by_name(part.format)
-            backend.require()
-            locator = part.locator
-            if part.size <= 0:
-                continue
-            if not backend.line_records:
-                target_bytes = max(1, -(-part.size // spans))
-                shards.extend(
-                    _FileShard(
-                        path=locator,
-                        format=part.format,
-                        column=column,
-                        delimiter=delimiter,
-                        encoding=encoding,
-                        start=start,
-                        end=end,
-                        skip_first=False,
-                        exact=True,
-                        check_multiline=False,
-                    )
-                    for start, end, _ in backend.plan_shards(locator, target_bytes)
-                )
-                continue
-            if backend.has_header_row:
-                header, data_start = read_csv_header(locator, delimiter, encoding)
-                shards.extend(
-                    self._csv_shards(
-                        locator,
-                        data_start,
-                        part.size,
-                        _resolve_column_index(header, column),
-                        delimiter,
-                        encoding,
-                        spans=spans,
-                        record_aligned=record_aligned,
-                    )
-                )
-                continue
-            starts = _split_points(0, part.size, spans)
-            bounds = starts + [part.size]
-            shards.extend(
-                _FileShard(
-                    path=locator,
-                    format=part.format,
-                    column=column,
-                    delimiter=delimiter,
-                    encoding=encoding,
-                    start=start,
-                    end=end,
-                    skip_first=start != 0,
-                    exact=False,
-                    check_multiline=False,
-                )
-                for start, end in zip(bounds, bounds[1:])
-                if start < end
+            for shard in backend.plan_shards(part, shard_bytes, delimiter, resolve_index):
+                yield shard, indices.get(shard.path, column), delimiter
+
+    def _map(
+        self,
+        fn: Callable[[Task], ColumnProfile],
+        keyed_tasks: Iterable[Tuple[object, Task]],
+        processes: int,
+        window: int,
+    ) -> Iterator[ColumnProfile]:
+        """Ordered bounded-window map through a one-shot resilient pool."""
+
+        def factory() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(
+                max_workers=processes,
+                initializer=_init_profiler_worker,
+                initargs=(self.profiler,),
             )
-        return shards
+
+        with ResilientPool(factory) as pool:
+            for _, profile in pool.map_ordered_keyed(fn, keyed_tasks, window):
+                yield profile
 
     # ------------------------------------------------------------------
     # Convenience

@@ -12,6 +12,7 @@ in errors and help text even on a no-extras install.  Remote
 from repro.dataset.backends.base import (
     Backend,
     RowSpec,
+    Shard,
     SinkWriter,
     backend_by_name,
     backend_for_path,
@@ -53,6 +54,7 @@ __all__ = [
     "ParquetBackend",
     "PartOpener",
     "RowSpec",
+    "Shard",
     "SinkWriter",
     "backend_by_name",
     "backend_for_path",

@@ -1,4 +1,4 @@
-"""The IO backend protocol and the extension/scheme-keyed registry.
+"""The IO backend protocol, the one shard planner, and the registry.
 
 A :class:`Backend` packages everything the pipeline needs to speak one
 partition format — schema discovery, value streaming, shard planning,
@@ -8,32 +8,38 @@ the worker-side raw-chunk parse, and the sink-side chunk encoding — so
 :func:`~repro.engine.parallel.apply_dataset` dispatch through the
 registry instead of ``if part.format == "csv"`` branches.
 
-Two capability axes shape the contracts:
+Profile and apply read the same partitions as the same record-aligned
+spans: :meth:`Backend.plan_shards` turns one part into :class:`Shard`
+records, and :meth:`Backend.read_shard_lines` reads one back.  Two
+capability axes shape the contracts:
 
 * **line-record backends** (CSV, JSONL) own text files whose physical
-  lines carry records; byte-range shard planning, record-aligned cut
-  scans, and the raw-line worker wire all apply.  ``csv_quoting``
-  states whether a record may span physical lines (quoted embedded
-  newline), ``has_header_row`` whether the file leads with a header
-  record.
+  lines carry records.  Shards are exact byte ranges, cut after the
+  header with one lazy quote-parity scan
+  (:func:`~repro.util.csvio.iter_record_cut_points`) that also yields
+  each shard's first physical line number.  ``csv_quoting`` states
+  whether a record may span physical lines (quoted embedded newline),
+  ``has_header_row`` whether the file leads with a header record.
 * **rowgroup backends** (Parquet, Arrow IPC) own binary columnar
-  files.  Shard bounds are **row-group indices**, not byte offsets
-  (``plan_shards``), and the worker wire is the JSONL rendering of each
-  row group — so parse, transform, quarantine, and re-encode reuse the
-  JSONL machinery unchanged.
+  files.  Shard bounds are **row-group indices**, not byte offsets,
+  and the worker wire is the JSONL rendering of each row group — so
+  parse, transform, quarantine, and re-encode reuse the JSONL
+  machinery unchanged.
 
 Backends register under a name plus one or more file suffixes.  An
-unregistered suffix fails loudly (:func:`backend_for_path`) instead of
-the historical silent fall-back to CSV; ``assume_csv`` is the escape
-hatch for extensionless partition files only.
+unregistered suffix fails loudly (:func:`backend_for_path`);
+``assume_csv`` is the escape hatch for extensionless partition files
+only.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -45,6 +51,8 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro.dataset.backends.remote import open_locator
+from repro.util.csvio import iter_record_cut_points
 from repro.util.errors import CLXError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -62,6 +70,31 @@ class RowSpec(Protocol):
 
     @property
     def delimiter(self) -> str: ...
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One picklable, record-aligned span of one partition.
+
+    For line-record backends ``start`` and ``end`` are byte offsets at
+    record boundaries, so a reader owns exactly the lines beginning in
+    ``[start, end)`` and ``first_line`` is the true physical line
+    number at ``start``.  For rowgroup backends the bounds are
+    **row-group indices** and ``first_line`` is the 1-based index of
+    the span's first row.  Either way error messages stay exact at any
+    shard geometry.
+    """
+
+    path: str
+    format: str
+    start: int
+    end: int
+    first_line: int
+
+
+#: Receives ``(locator, header)`` once per headed part, before any of
+#: its shards is yielded; raising from it aborts the plan.
+HeaderCheck = Callable[[str, List[str]], None]
 
 
 class SinkWriter(Protocol):
@@ -148,28 +181,64 @@ class Backend(abc.ABC):
         """Stream one column of the part, ``""`` for rows missing it."""
 
     # ------------------------------------------------------------------
-    # Apply input: shard geometry and the worker wire
+    # Shard geometry and the worker wire (profile and apply alike)
     # ------------------------------------------------------------------
     def data_region(
         self, locator: str, delimiter: str
     ) -> Tuple[Optional[List[str]], int, int]:
         """(header, data-start offset, first data line) of one file.
 
-        Line backends only; the executor verifies the returned header
-        (when any) against its spec before planning byte-range shards.
+        Line backends only; :meth:`plan_shards` hands the header (when
+        any) to its caller before cutting byte ranges.
         """
         raise CLXError(f"{self.name} partitions have no byte data region")
 
     def plan_shards(
-        self, locator: str, shard_bytes: int
-    ) -> Iterator[Tuple[int, int, int]]:
-        """(start, end, first_line) spans for one rowgroup-backend part.
+        self,
+        part: "DatasetPart",
+        shard_bytes: int,
+        delimiter: str = ",",
+        on_header: Optional[HeaderCheck] = None,
+    ) -> Iterator[Shard]:
+        """Split one part into record-aligned shards of about ``shard_bytes``.
 
-        Spans are row-group index ranges sized so each covers roughly
-        ``shard_bytes`` of storage — the columnar stand-in for
-        record-aligned byte-range cuts.
+        A part no larger than ``shard_bytes`` is one whole-part shard,
+        so the parent reads nothing but a header.  A larger line-record
+        part is cut after its header by one
+        :func:`~repro.util.csvio.iter_record_cut_points` scan, which
+        also yields the first line number of every shard.  Shards are
+        **yielded as cuts are found**, so on a huge file workers start
+        on the head while the parent still scans the tail.  Rowgroup
+        backends override this with row-group index spans.
         """
-        raise CLXError(f"{self.name} partitions plan byte-range shards instead")
+        self.require()
+        locator = part.locator
+        header, data_start, first_line = self.data_region(locator, delimiter)
+        if header is not None and on_header is not None:
+            on_header(locator, header)
+        size = part.size
+        if size <= data_start:
+            return
+        span = size - data_start
+        pieces = -(-span // shard_bytes)
+        start, line = data_start, first_line
+        if pieces > 1:
+            step = -(-span // pieces)
+            for cut, cut_line in iter_record_cut_points(
+                locator,
+                data_start,
+                size,
+                range(data_start + step, size, step),
+                delimiter=delimiter,
+                first_line=first_line,
+                csv_quoting=self.csv_quoting,
+                opener=open_locator,
+            ):
+                if start < cut:
+                    yield Shard(locator, self.name, start, cut, line)
+                    start, line = cut, cut_line
+        if start < size:
+            yield Shard(locator, self.name, start, size, line)
 
     @abc.abstractmethod
     def read_shard_lines(
@@ -202,9 +271,6 @@ class Backend(abc.ABC):
         records through this same method to divert exactly the bad one.
         """
 
-    # ------------------------------------------------------------------
-    # Profiling input (byte-range / row-group shard values)
-    # ------------------------------------------------------------------
     def iter_shard_values(
         self, locator: str, start: int, end: int, column: Union[str, int]
     ) -> Iterator[str]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import IO, TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.dataset.backends.base import Backend, RowSpec
+from repro.dataset.backends.base import Backend, HeaderCheck, RowSpec, Shard
 from repro.dataset.backends.remote import open_locator
 from repro.dataset.backends.text import parse_jsonl_chunk
 from repro.util.csvio import resolve_column
@@ -224,9 +224,15 @@ class _ColumnarBackend(Backend):
 
     # -- apply input ---------------------------------------------------
     def plan_shards(
-        self, locator: str, shard_bytes: int
-    ) -> Iterator[Tuple[int, int, int]]:
+        self,
+        part: "DatasetPart",
+        shard_bytes: int,
+        delimiter: str = ",",
+        on_header: Optional[HeaderCheck] = None,
+    ) -> Iterator[Shard]:
+        """Row-group index spans, each covering about ``shard_bytes`` of storage."""
         self.require()
+        locator = part.locator
         reader, handle = self._open_reader(locator)
         try:
             groups = self._num_groups(reader)
@@ -238,13 +244,13 @@ class _ColumnarBackend(Backend):
                 span_bytes += self._group_bytes(reader, index)
                 span_rows += self._group_rows(reader, index)
                 if span_bytes >= shard_bytes:
-                    yield span_start, index + 1, first_row
+                    yield Shard(locator, self.name, span_start, index + 1, first_row)
                     span_start = index + 1
                     first_row += span_rows
                     span_rows = 0
                     span_bytes = 0
             if span_start < groups:
-                yield span_start, groups, first_row
+                yield Shard(locator, self.name, span_start, groups, first_row)
         finally:
             handle.close()
 

@@ -2,9 +2,9 @@
 
 These are the single-process readers behind
 :meth:`Dataset.iter_values <repro.dataset.dataset.Dataset.iter_values>`
-and the schema checks; the multi-process byte-range readers live with
-the profiler in :mod:`repro.clustering.parallel` and share the header
-scan defined here.
+and the schema checks.  The header scan defined here
+(:func:`csv_data_region`) is also where the backend shard planner
+starts its byte ranges.
 
 Every open goes through
 :func:`~repro.dataset.backends.remote.open_locator` (binary mode, lines
@@ -37,29 +37,16 @@ def _open_binary(path: Union[str, Path]) -> IO[bytes]:
     return open_locator(str(path))
 
 
-def read_csv_header(
-    path: Union[str, Path], delimiter: str = ",", encoding: str = "utf-8"
-) -> Tuple[List[str], int]:
-    """The CSV header row of ``path`` and the byte offset where data starts.
+def csv_data_region(
+    path: Union[str, Path], delimiter: str = ","
+) -> Tuple[List[str], int, int]:
+    """Header fields, data-start byte offset, and first data line number.
 
     Physical lines are accumulated until the header record closes, so a
     (rare) quoted header field containing a newline stays intact —
     tracked with csv quoting semantics, since a stray ``"`` in an
-    unquoted header cell is data, not a delimiter.
-
-    Raises:
-        ValidationError: If the file has no header row.
-    """
-    header, data_start, _ = csv_data_region(path, delimiter, encoding)
-    return header, data_start
-
-
-def csv_data_region(
-    path: Union[str, Path], delimiter: str = ",", encoding: str = "utf-8"
-) -> Tuple[List[str], int, int]:
-    """Header fields, data-start byte offset, and first data line number.
-
-    The byte-range planners need all three: where the data region
+    unquoted header cell is data, not a delimiter.  The byte-range
+    shard planner needs all three: where the data region
     begins and which 1-based *physical* line number that byte sits on
     (a quoted header field containing a newline makes the header span
     several physical lines, so it is not always line 2).

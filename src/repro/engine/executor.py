@@ -209,7 +209,6 @@ class TransformEngine:
         shard_timeout: Optional[float] = None,
         max_retries: int = 0,
         resume: bool = False,
-        adaptive_target_ms: Optional[int] = None,
         assume_csv: bool = False,
     ) -> "DatasetApplyResult":
         """Apply this engine's program across a partitioned dataset.
@@ -258,9 +257,6 @@ class TransformEngine:
                 it is declared poison.
             resume: With ``output_dir``, skip partitions the run
                 manifest records as complete.
-            adaptive_target_ms: When set, chunk/shard sizes adapt
-                toward this per-task latency target instead of staying
-                at the static knobs (sink bytes are unaffected).
             assume_csv: Treat extensionless partition files as CSV
                 instead of refusing them (only used when ``dataset``
                 arrives as unresolved specs).
@@ -301,7 +297,6 @@ class TransformEngine:
             chunk_size=chunk_size,
             on_error=on_error,
             fault_policy=FaultPolicy(max_retries=max_retries, shard_timeout=shard_timeout),
-            adaptive_target_ms=adaptive_target_ms,
         ) as executor:
             return apply_dataset(
                 executor,

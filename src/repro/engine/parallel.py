@@ -3,11 +3,11 @@
 A :class:`~repro.engine.compiled.CompiledProgram` already crosses process
 boundaries for free (it JSON round-trips), so the apply half of CLX
 parallelizes trivially: serialize the artifact once, rebuild it in each
-worker, and stream chunks through a pool.  What needs care is keeping
-the protocol cheap and the memory bounded.  Three executors share the
-same discipline (bounded in-flight window, strict input order, dead
-workers surfaced as :class:`~repro.util.errors.CLXError` instead of a
-hang — see :mod:`repro.util.pools`):
+worker, and stream tasks through a pool.  What needs care is keeping
+the protocol cheap and the memory bounded.  Every entry point below runs
+on one :class:`~repro.util.pools.ResilientPool` (bounded in-flight
+window, strict input order, dead or hung workers replayed, retried, or
+surfaced as :class:`~repro.util.errors.CLXError` instead of a hang):
 
 * :class:`ShardedExecutor` — one program over a stream of values.  The
   wire format is compact: each chunk returns ``(outputs,
@@ -19,17 +19,18 @@ hang — see :mod:`repro.util.pools`):
   parse *and* serialize: each task carries unparsed lines plus their
   input format, each result is one already-encoded CSV/JSONL text
   chunk plus row/flagged counts, so the parent does no codec work at
-  all — it only splices ordered chunks to the sink.  This is what
-  ``repro-clx apply --workers N`` runs on.
+  all — it only splices ordered chunks to the sink.
 * :meth:`ShardedTableExecutor.run_dataset` — the cross-partition
-  dispatch layer: whole parts of a partitioned dataset (or byte-range
-  shards of large parts, record-aligned via
-  :func:`~repro.util.csvio.record_cut_points`) are handed to the same
-  worker pool, so small-file latencies overlap and every core stays
-  busy across partition boundaries while results still splice in
-  deterministic (part, offset) order.  :func:`apply_dataset` wraps it
-  with sink orchestration (one spliced sink, or one output per
-  partition) shared by the CLI and the session/engine APIs.
+  dispatch layer behind ``repro-clx apply``: the backend shard planner
+  (:meth:`~repro.dataset.backends.base.Backend.plan_shards`, the same
+  one the profiler uses) cuts every part into record-aligned
+  :class:`~repro.dataset.backends.base.Shard` spans, and workers read,
+  transform, and encode their own spans, so small-file latencies
+  overlap and every core stays busy across partition boundaries while
+  results still splice in deterministic (part, offset) order.
+  :func:`apply_dataset` wraps it with sink orchestration (one spliced
+  sink, or one output per partition) shared by the CLI and the
+  session/engine APIs.
 * :func:`transform_table_parallel` — the mapping-rows counterpart
   behind :meth:`TransformEngine.transform_table(workers=N)
   <repro.engine.executor.TransformEngine.transform_table>`.
@@ -37,7 +38,6 @@ hang — see :mod:`repro.util.pools`):
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,9 +60,9 @@ from typing import (
 
 from repro.core.result import TransformReport
 from repro.dataset.backends import (
+    Shard,
     backend_by_name,
     input_format_names,
-    open_locator,
     sink_format_names,
 )
 from repro.dsl.interpreter import TransformOutcome
@@ -75,23 +75,12 @@ from repro.engine.resilience import (
     resynthesis_hint,
 )
 from repro.patterns.pattern import Pattern
-from repro.util.csvio import iter_record_cut_points, record_open_after, resolve_column
+from repro.util.csvio import record_open_after, resolve_column
 from repro.util.errors import CLXError, ValidationError
 from repro.util.faults import maybe_fire
-from repro.util.pools import (
-    FaultPolicy,
-    ResilientPool,
-    chunked,
-    indexed_chunks,
-    map_ordered,
-)
+from repro.util.pools import FaultPolicy, ResilientPool, chunked, indexed_chunks
 from repro.util.sinks import AtomicSink
-from repro.util.timing import Stopwatch
-from repro.util.validate import (
-    validated_adaptive_target,
-    validated_chunk_size,
-    validated_workers,
-)
+from repro.util.validate import validated_chunk_size, validated_workers
 
 #: Default number of values per worker task; large enough to amortize
 #: pickling and dispatch, small enough to keep the pipeline busy.
@@ -127,78 +116,6 @@ class TableChunk(NamedTuple):
     rows: int
     flagged: int
     quarantined: Tuple[QuarantinedRecord, ...] = ()
-
-class AdaptiveChunker:
-    """Latency-driven task sizing for the parallel apply pipeline.
-
-    The static ``chunk_size`` / ``shard_bytes`` knobs assume every
-    column costs the same per row; a slow program (deep backtracking,
-    many guarded branches) can turn a "reasonable" chunk into a
-    multi-second task that starves the ordered drain.  An
-    ``AdaptiveChunker`` instead steers the next task's size toward a
-    per-task latency band around ``target_seconds``: a task slower than
-    twice the target halves the size, one faster than half the target
-    doubles it, both clamped to ``[minimum, maximum]``.  Every observed
-    latency is also recorded into a :class:`~repro.util.timing.Stopwatch`
-    so callers can report what the pipeline actually saw.
-
-    Sizing never changes *what* is computed — chunk boundaries only
-    group rows into tasks, and the sink bytes are an ordered
-    concatenation of per-row encodings — so adaptive runs stay
-    byte-identical to static ones.
-    """
-
-    __slots__ = ("_size", "_minimum", "_maximum", "_target", "stopwatch", "name")
-
-    def __init__(
-        self,
-        initial: int,
-        minimum: int,
-        maximum: int,
-        target_seconds: float,
-        name: str = "chunk",
-    ) -> None:
-        if minimum < 1 or maximum < minimum:
-            raise ValidationError(
-                f"adaptive bounds must satisfy 1 <= minimum <= maximum, "
-                f"got [{minimum}, {maximum}]"
-            )
-        if target_seconds <= 0:
-            raise ValidationError(
-                f"adaptive target must be positive, got {target_seconds}"
-            )
-        self._size = min(max(initial, minimum), maximum)
-        self._minimum = minimum
-        self._maximum = maximum
-        self._target = target_seconds
-        self.stopwatch = Stopwatch()
-        self.name = name
-
-    @property
-    def size(self) -> int:
-        """The size the next task should use."""
-        return self._size
-
-    @property
-    def target_seconds(self) -> float:
-        """Center of the per-task latency band."""
-        return self._target
-
-    def observe(self, seconds: float) -> None:
-        """Feed one observed per-task latency back into the sizer."""
-        self.stopwatch.record(self.name, seconds)
-        if seconds > self._target * 2 and self._size > self._minimum:
-            self._size = max(self._minimum, self._size // 2)
-        elif seconds < self._target / 2 and self._size < self._maximum:
-            self._size = min(self._maximum, self._size * 2)
-
-    def stats(self) -> Dict[str, float]:
-        """Aggregate view: samples seen, mean latency, current size."""
-        return {
-            "samples": float(self.stopwatch.count(self.name)),
-            "mean_seconds": self.stopwatch.mean(self.name),
-            "size": float(self._size),
-        }
 
 
 # Per-worker state installed by the pool initializers.
@@ -290,7 +207,7 @@ class ShardedExecutor:
         self._compiled = program
         self._wire = _program_wire(program)
         self._table = _pattern_table(program)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[ResilientPool[List[str], ChunkResult]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -305,19 +222,22 @@ class ShardedExecutor:
         """Number of worker processes."""
         return self._workers
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _build_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self._workers,
+            initializer=_init_worker,
+            initargs=(self._wire,),
+        )
+
+    def _ensure_pool(self) -> ResilientPool[List[str], ChunkResult]:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_worker,
-                initargs=(self._wire,),
-            )
+            self._pool = ResilientPool(self._build_pool)
         return self._pool
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.close()
             self._pool = None
 
     def __enter__(self) -> "ShardedExecutor":
@@ -353,10 +273,8 @@ class ShardedExecutor:
         ``workers * chunk_size`` regardless of input size.
         """
         pool = self._ensure_pool()
-        results = map_ordered(
-            pool, _apply_chunk, chunked(values, self._chunk_size), self._workers + 2
-        )
-        for result in results:
+        chunks = enumerate(chunked(values, self._chunk_size))
+        for _, result in pool.map_ordered_keyed(_apply_chunk, chunks, self._workers + 2):
             yield from self._rehydrate(result)
 
     def run(self, values: Iterable[str]) -> TransformReport:
@@ -582,7 +500,7 @@ def _transform_table_chunk(
 
 def _record_aligned_chunks(
     lines: Iterable[str],
-    chunk_size: Union[int, AdaptiveChunker],
+    chunk_size: int,
     first_line: int,
     delimiter: str,
     csv_quoting: bool = True,
@@ -596,14 +514,7 @@ def _record_aligned_chunks(
     the first record boundary at or past ``chunk_size`` lines.  With
     ``csv_quoting=False`` (JSON Lines) every physical line is a record
     and chunks close exactly at ``chunk_size``.
-
-    ``chunk_size`` may be an :class:`AdaptiveChunker`, whose current
-    size is re-read at every chunk boundary — latency feedback observed
-    while this generator is being drained resizes the *next* chunk.
     """
-    sizer = chunk_size if isinstance(chunk_size, AdaptiveChunker) else None
-    limit = sizer.size if sizer is not None else chunk_size
-    assert isinstance(limit, int)
     chunk: List[str] = []
     chunk_first = first_line
     line_number = first_line - 1
@@ -613,43 +524,19 @@ def _record_aligned_chunks(
         chunk.append(line)
         if csv_quoting:
             record_open = record_open_after(line, delimiter, record_open)
-        if len(chunk) >= limit and not record_open:
+        if len(chunk) >= chunk_size and not record_open:
             yield chunk_first, chunk
             chunk = []
             chunk_first = line_number + 1
-            if sizer is not None:
-                limit = sizer.size
     if chunk:
         yield chunk_first, chunk
-
-
-@dataclass(frozen=True)
-class _ApplyShard:
-    """One picklable unit of cross-partition apply work.
-
-    For line-record backends both bounds are exact byte offsets at
-    record boundaries (the planner aligns them with a quote-parity
-    scan), so the worker owns precisely the lines beginning in
-    ``[start, end)`` and ``first_line`` is the true physical line number
-    at ``start``.  For rowgroup backends (parquet/arrow) the bounds are
-    **row-group index ranges** and ``first_line`` is the 1-based index
-    of the span's first row — either way, error messages stay exact at
-    any shard geometry.
-    """
-
-    path: str
-    in_format: str
-    start: int
-    end: int
-    first_line: int
-    source: str
 
 
 def _transform_shard(
     spec: TableSpec,
     engines: Sequence[CompiledProgram],
     chunk_size: int,
-    shard: _ApplyShard,
+    shard: Shard,
 ) -> TableChunk:
     """Run one shard through the per-chunk pipeline.
 
@@ -658,7 +545,7 @@ def _transform_shard(
     parent-fed paths honor — so a byte-planned shard never materializes
     more than one batch of parsed rows at a time.
     """
-    backend = backend_by_name(shard.in_format)
+    backend = backend_by_name(shard.format)
     pieces: List[str] = []
     rows = 0
     flagged = 0
@@ -677,7 +564,7 @@ def _transform_shard(
         spec.delimiter,
         csv_quoting=backend.csv_quoting,
     ):
-        piece = _transform_lines(spec, engines, start, chunk, shard.source, shard.in_format)
+        piece = _transform_lines(spec, engines, start, chunk, shard.path, shard.format)
         pieces.append(piece.text)
         rows += piece.rows
         flagged += piece.flagged
@@ -685,11 +572,11 @@ def _transform_shard(
     return TableChunk("".join(pieces), rows, flagged, tuple(quarantined))
 
 
-def _apply_file_shard(shard: _ApplyShard) -> TableChunk:
-    """Read, parse, transform, and encode one byte-range shard in a worker."""
+def _apply_file_shard(shard: Shard) -> TableChunk:
+    """Read, parse, transform, and encode one planned shard in a worker."""
     assert _TABLE_STATE is not None, "worker used before initialization"
     spec, engines, chunk_size = _TABLE_STATE
-    maybe_fire("worker.shard", key=f"{shard.source}:{shard.start}")
+    maybe_fire("worker.shard", key=f"{shard.path}:{shard.start}")
     return _transform_shard(spec, engines, chunk_size, shard)
 
 
@@ -722,16 +609,9 @@ class ShardedTableExecutor:
             ``"quarantine"`` (bad records divert into each chunk's
             ``quarantined`` tuple; the run continues).
         fault_policy: Retry/timeout policy for infrastructure faults
-            (dead or hung workers).  The default retries nothing, which
-            is the historical behaviour.  A policy with retries or a
-            timeout forces pool execution even at ``workers=1`` so the
-            knobs keep their meaning.
-        adaptive_target_ms: When set, ``chunk_size`` and ``shard_bytes``
-            become starting points instead of fixed sizes: an
-            :class:`AdaptiveChunker` resizes tasks toward this per-task
-            latency target from observed pipeline latencies.  ``None``
-            (default) keeps the static knobs.  Sink bytes are identical
-            either way — sizing only regroups rows into tasks.
+            (dead or hung workers).  The default retries nothing.  A
+            policy with retries or a timeout forces pool execution even
+            at ``workers=1`` so the knobs keep their meaning.
     """
 
     def __init__(
@@ -746,7 +626,6 @@ class ShardedTableExecutor:
         chunk_size: int = DEFAULT_TABLE_CHUNK_LINES,
         on_error: str = "abort",
         fault_policy: Optional[FaultPolicy] = None,
-        adaptive_target_ms: Optional[int] = None,
     ) -> None:
         if not programs:
             raise ValidationError("ShardedTableExecutor needs at least one column program")
@@ -765,19 +644,6 @@ class ShardedTableExecutor:
         self._workers = validated_workers(workers)
         self._chunk_size = validated_chunk_size(chunk_size)
         self._fault_policy = fault_policy or FaultPolicy()
-        self._adaptive_target_ms = validated_adaptive_target(
-            adaptive_target_ms, "adaptive_target_ms"
-        )
-        self._line_sizer: Optional[AdaptiveChunker] = None
-        self._shard_sizer: Optional[AdaptiveChunker] = None
-        if self._adaptive_target_ms is not None:
-            self._line_sizer = AdaptiveChunker(
-                initial=self._chunk_size,
-                minimum=max(1, self._chunk_size // 16),
-                maximum=self._chunk_size * 64,
-                target_seconds=self._adaptive_target_ms / 1000.0,
-                name="chunk",
-            )
 
         fieldnames = tuple(header)
         named_outputs = dict(output_columns or {})
@@ -829,20 +695,6 @@ class ShardedTableExecutor:
     def fault_policy(self) -> FaultPolicy:
         """The infrastructure-fault retry/timeout policy."""
         return self._fault_policy
-
-    @property
-    def adaptive_target_ms(self) -> Optional[int]:
-        """The adaptive latency target, or ``None`` for static sizing."""
-        return self._adaptive_target_ms
-
-    def adaptive_stats(self) -> Dict[str, Dict[str, float]]:
-        """Observed latency + current size per adaptive sizer (if any)."""
-        stats: Dict[str, Dict[str, float]] = {}
-        if self._line_sizer is not None:
-            stats["chunk_lines"] = self._line_sizer.stats()
-        if self._shard_sizer is not None:
-            stats["shard_bytes"] = self._shard_sizer.stats()
-        return stats
 
     def _build_pool(self) -> ProcessPoolExecutor:
         wires = tuple(_program_wire(program) for program in self._programs)
@@ -939,12 +791,12 @@ class ShardedTableExecutor:
         )
 
     def _shard_failure(
-        self, key: Any, shard: _ApplyShard, kind: str, attempts: int
+        self, key: Any, shard: Shard, kind: str, attempts: int
     ) -> TableChunk:
         reason = self._fault_reason(kind, attempts)
         if self._spec.on_error == "quarantine":
             lines = list(
-                backend_by_name(shard.in_format).read_shard_lines(
+                backend_by_name(shard.format).read_shard_lines(
                     shard.path,
                     shard.start,
                     shard.end,
@@ -953,10 +805,10 @@ class ShardedTableExecutor:
                 )
             )
             return self._quarantine_whole(
-                shard.first_line, lines, shard.source, shard.in_format, reason
+                shard.first_line, lines, shard.path, shard.format, reason
             )
         raise CLXError(
-            f"{shard.source} bytes [{shard.start}, {shard.end}) "
+            f"{shard.path} bytes [{shard.start}, {shard.end}) "
             f"(line {shard.first_line} onward): {reason}; "
             "the shard looks poisoned and the run was aborted"
         )
@@ -1000,12 +852,11 @@ class ShardedTableExecutor:
                 f"unsupported input format {in_format!r}; "
                 f"choose from {', '.join(input_format_names())}"
             )
-        sizer = self._line_sizer
         tasks = (
             (start, chunk, source, in_format)
             for start, chunk in _record_aligned_chunks(
                 lines,
-                sizer if sizer is not None else self._chunk_size,
+                self._chunk_size,
                 first_line,
                 self._spec.delimiter,
                 csv_quoting=backend_by_name(in_format).csv_quoting,
@@ -1014,22 +865,13 @@ class ShardedTableExecutor:
         if not self._use_pool:
             engines = self._programs
             for start, chunk, label, fmt in tasks:
-                began = time.perf_counter()
-                result = _transform_lines(self._spec, engines, start, chunk, label, fmt)
-                if sizer is not None:
-                    sizer.observe(time.perf_counter() - began)
-                yield result
+                yield _transform_lines(self._spec, engines, start, chunk, label, fmt)
             return
-        # The key carries the submission stamp parent-side (the wire
-        # format stays untouched); the ordered drain turns it into the
-        # per-task pipeline latency the sizer steers on.
-        keyed = (((task[0], time.perf_counter()), task) for task in tasks)
+        keyed = ((task[0], task) for task in tasks)
         pool = self._ensure_pool()
-        for key, result in pool.map_ordered_keyed(
+        for _, result in pool.map_ordered_keyed(
             _transform_table_chunk, keyed, self._workers + 2, on_failure=self._chunk_failure
         ):
-            if sizer is not None:
-                sizer.observe(time.perf_counter() - key[1])
             yield result
 
     def _run_file(self, locator: str, in_format: str) -> Iterator[TableChunk]:
@@ -1103,74 +945,18 @@ class ShardedTableExecutor:
     # ------------------------------------------------------------------
     # Cross-partition dispatch
     # ------------------------------------------------------------------
-    def _plan_part_shards(
-        self, part: "DatasetPart", shard_bytes: int
-    ) -> Iterator[_ApplyShard]:
-        """Split one partition into record-aligned shards via its backend.
+    def _plan_part_shards(self, part: "DatasetPart", shard_bytes: int) -> Iterator[Shard]:
+        """Plan one partition through its backend, checking its header.
 
-        Small parts become one whole-part shard — the parent reads
-        nothing but a CSV header, so dispatching many small files
-        overlaps their open/parse latencies.  Line-record parts larger
-        than ``shard_bytes`` are split with one
-        :func:`~repro.util.csvio.iter_record_cut_points` scan, which
-        also yields the exact first line number of every shard, so
-        error messages stay precise however the bytes were divided.
-        Shards are **yielded as cuts are found**: on a huge single
-        file, workers start transforming the head while the parent is
-        still scanning the tail — no cold-start bubble proportional to
-        file size.  Rowgroup parts (parquet/arrow) shard on their own
-        record-aligned cut points instead: row-group index ranges sized
-        so each span covers roughly ``shard_bytes`` of storage.
+        The backend shard planner
+        (:meth:`~repro.dataset.backends.base.Backend.plan_shards`) does
+        the cutting; the executor only insists that every headed part
+        shares the dataset header, so two partitions with drifted
+        schemas cannot be spliced into one sink silently.
         """
-        backend = backend_by_name(part.format)
-        backend.require()
-        locator = part.locator
-
-        def shard(start: int, line: int, end: int) -> _ApplyShard:
-            return _ApplyShard(
-                path=locator,
-                in_format=part.format,
-                start=start,
-                end=end,
-                first_line=line,
-                source=locator,
-            )
-
-        if not backend.line_records:
-            for start, end, first_row in backend.plan_shards(locator, shard_bytes):
-                yield shard(start, first_row, end)
-            return
-
-        size = part.size
-        header, data_start, first_line = backend.data_region(
-            locator, self._spec.delimiter
+        return backend_by_name(part.format).plan_shards(
+            part, shard_bytes, self._spec.delimiter, self._check_part_header
         )
-        if header is not None:
-            self._check_part_header(locator, header)
-        if size <= data_start:
-            return
-
-        span = size - data_start
-        pieces = (span + shard_bytes - 1) // shard_bytes
-        previous = (data_start, first_line)
-        if pieces > 1:
-            step = (span + pieces - 1) // pieces
-            targets = list(range(data_start + step, size, step))
-            for cut, line in iter_record_cut_points(
-                locator,
-                data_start,
-                size,
-                targets,
-                delimiter=self._spec.delimiter,
-                first_line=first_line,
-                csv_quoting=backend.csv_quoting,
-                opener=open_locator,
-            ):
-                if previous[0] < cut:
-                    yield shard(previous[0], previous[1], cut)
-                    previous = (cut, line)
-        if previous[0] < size:
-            yield shard(previous[0], previous[1], size)
 
     def run_dataset(
         self,
@@ -1201,50 +987,20 @@ class ShardedTableExecutor:
             order.
         """
         validated_chunk_size(shard_bytes, "shard_bytes")
-        sizer: Optional[AdaptiveChunker] = None
-        if self._adaptive_target_ms is not None:
-            sizer = AdaptiveChunker(
-                initial=shard_bytes,
-                minimum=max(1, shard_bytes // 16),
-                maximum=shard_bytes * 64,
-                target_seconds=self._adaptive_target_ms / 1000.0,
-                name="shard",
-            )
-            self._shard_sizer = sizer
-
-        def plan() -> Iterator[Tuple[int, _ApplyShard]]:
-            for index, part in enumerate(dataset):
-                # Shard geometry is fixed within a part (the cut targets
-                # are planned in one scan), so the sizer steers between
-                # parts; chunk-line adaptation handles intra-part pacing.
-                size = sizer.size if sizer is not None else shard_bytes
-                for shard in self._plan_part_shards(part, size):
-                    yield index, shard
-
+        plan = (
+            (index, shard)
+            for index, part in enumerate(dataset)
+            for shard in self._plan_part_shards(part, shard_bytes)
+        )
         if not self._use_pool:
-            for index, shard in plan():
-                began = time.perf_counter()
-                chunk = _transform_shard(
+            for index, shard in plan:
+                yield index, _transform_shard(
                     self._spec, self._programs, self._chunk_size, shard
                 )
-                if sizer is not None:
-                    sizer.observe(time.perf_counter() - began)
-                yield index, chunk
             return
-        pool = self._ensure_pool()
-        if sizer is None:
-            yield from pool.map_ordered_keyed(
-                _apply_file_shard, plan(), self._workers + 2, on_failure=self._shard_failure
-            )
-            return
-        stamped = (
-            ((index, time.perf_counter()), shard) for index, shard in plan()
+        yield from self._ensure_pool().map_ordered_keyed(
+            _apply_file_shard, plan, self._workers + 2, on_failure=self._shard_failure
         )
-        for key, chunk in pool.map_ordered_keyed(
-            _apply_file_shard, stamped, self._workers + 2, on_failure=self._shard_failure
-        ):
-            sizer.observe(time.perf_counter() - key[1])
-            yield key[0], chunk
 
 
 # ----------------------------------------------------------------------
@@ -1601,13 +1357,15 @@ def transform_table_parallel(
     :meth:`TransformEngine.transform_table` when ``workers > 1``.
     """
     payload = tuple((column, _program_wire(compiled)) for column, compiled in programs)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_rows_worker,
-        initargs=(payload,),
-    ) as pool:
-        results = map_ordered(
-            pool, _transform_rows_chunk, indexed_chunks(rows, chunk_size), workers + 2
+
+    def factory() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_rows_worker,
+            initargs=(payload,),
         )
-        for chunk in results:
+
+    tasks = ((base, (base, chunk)) for base, chunk in indexed_chunks(rows, chunk_size))
+    with ResilientPool(factory) as pool:
+        for _, chunk in pool.map_ordered_keyed(_transform_rows_chunk, tasks, workers + 2):
             yield from chunk

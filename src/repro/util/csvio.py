@@ -11,23 +11,24 @@ that kind of messy value is this project's bread and butter.
 :func:`record_open_after` walks a line with the same state machine the
 csv module applies (field-start quoting, ``""`` escapes, delimiter
 resets), carrying the open/closed state across lines of the same
-record.  It is on every framing path (worker chunking, the profiler's
-single-record check, the header scan), so it costs next to nothing on
-the common line: one that starts a record and holds no quote returns
-``False`` after a single ``in`` test, and a line with quotes jumps
-from quote to quote with ``str.find`` instead of stepping through
-every character.
+record.  It is on every framing path (worker chunking, the header
+scan, the cut scan), so it costs next to nothing on the common line:
+one that starts a record and holds no quote returns ``False`` after a
+single ``in`` test, and a line with quotes jumps from quote to quote
+with ``str.find`` instead of stepping through every character.
 
-:func:`record_aligned_offsets` lifts that state machine to whole
-files: one sequential quote-parity scan maps any set of byte targets to
-the nearest *record* boundaries at or past them, which is what lets
-byte-range fan-out shard files whose quoted fields contain embedded
-newlines.
+:func:`iter_record_cut_points` lifts that state machine to whole
+files: one sequential quote-parity scan maps byte targets to the
+nearest *record* boundaries at or past them, with their line numbers.
+The backend shard planner
+(:meth:`~repro.dataset.backends.base.Backend.plan_shards`) cuts every
+profile and apply shard with it, so files whose quoted fields contain
+embedded newlines shard correctly.
 """
 
 from __future__ import annotations
 
-from typing import IO, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.util.errors import ValidationError
 
@@ -111,92 +112,31 @@ def record_open_after(line: str, delimiter: str, open_before: bool = False) -> b
         position = quote + 1
 
 
-def record_aligned_offsets(
-    path: str,
-    start: int,
-    end: int,
-    targets: Sequence[int],
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-    opener: Optional[Callable[[str], IO[bytes]]] = None,
-) -> List[int]:
-    """Map byte ``targets`` to the record boundaries at or past them.
-
-    One sequential pass over ``path``'s byte range ``[start, end)``
-    tracks quote parity with :func:`record_open_after` (``start`` must
-    be a true record boundary, e.g. the first data byte after the
-    header) and returns, for each target offset, the byte offset of the
-    first **record** start at or after it — ``end`` when no further
-    record begins before ``end``.  Splitting a file at the returned
-    offsets therefore never cuts a quoted field, however many embedded
-    newlines its records contain.
-
-    Args:
-        path: File path (opened in binary mode).
-        start: First byte of the scanned region; a record boundary.
-        end: First byte past the scanned region.
-        targets: Byte offsets to align, in ascending order.
-        delimiter: The CSV delimiter.
-        encoding: Text encoding used to decode scanned lines.
-
-    Returns:
-        One aligned offset per target, ascending, each in
-        ``[start, end]``.
-    """
-    return [
-        offset
-        for offset, _ in record_cut_points(
-            path, start, end, targets, delimiter=delimiter, encoding=encoding,
-            opener=opener,
-        )
-    ]
-
-
-def record_cut_points(
-    path: str,
-    start: int,
-    end: int,
-    targets: Sequence[int],
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-    first_line: int = 1,
-    csv_quoting: bool = True,
-    opener: Optional[Callable[[str], IO[bytes]]] = None,
-) -> List[Tuple[int, int]]:
-    """Like :func:`record_aligned_offsets`, also tracking line numbers.
-
-    Materialized form of :func:`iter_record_cut_points`.
-    """
-    return list(
-        iter_record_cut_points(
-            path, start, end, targets, delimiter, encoding, first_line,
-            csv_quoting, opener,
-        )
-    )
-
-
 def iter_record_cut_points(
     path: str,
     start: int,
     end: int,
     targets: Sequence[int],
     delimiter: str = ",",
-    encoding: str = "utf-8",
     first_line: int = 1,
     csv_quoting: bool = True,
     opener: Optional[Callable[[str], IO[bytes]]] = None,
 ) -> Iterator[Tuple[int, int]]:
     """Stream record-aligned cuts with their line numbers, one per target.
 
-    The cross-partition apply dispatcher plans byte-range shards but
-    still owes callers exact error locations, so each aligned cut comes
-    out as ``(offset, line_number)`` — the 1-based *physical* line
-    number of the line beginning at ``offset``, counted from
-    ``first_line`` at ``start``.  Cuts are **yielded as the scan finds
-    them**, so a consumer can dispatch work on early cuts while the
-    tail of a huge file is still being scanned.  Targets at or past the
-    last record start map to ``(end, <line scanning stopped at>)``; the
-    resulting empty shard is the caller's to drop.
+    One sequential pass over ``path``'s byte range ``[start, end)``
+    (``start`` must be a record boundary, e.g. the first data byte after
+    the header) maps each ascending target offset to the first
+    **record** start at or after it, so splitting at the cuts never
+    cuts a quoted field.  The shard planner still owes callers exact
+    error locations, so each cut comes out as ``(offset,
+    line_number)`` — the 1-based *physical* line number of the line
+    beginning at ``offset``, counted from ``first_line`` at ``start``.
+    Cuts are **yielded as the scan finds them**, so a consumer can
+    dispatch work on early cuts while the tail of a huge file is still
+    being scanned.  Targets at or past the last record start map to
+    ``(end, <line scanning stopped at>)``; the resulting empty shard is
+    the caller's to drop.
 
     Two scanning modes:
 
@@ -234,7 +174,7 @@ def iter_record_cut_points(
                 break
             if csv_quoting and (record_open or _QUOTE_BYTE in line):
                 record_open = record_open_after(
-                    line.decode(encoding, errors="replace"), delimiter, record_open
+                    line.decode("utf-8", errors="replace"), delimiter, record_open
                 )
             line_number += 1
             position = handle.tell()

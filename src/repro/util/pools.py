@@ -1,12 +1,15 @@
-"""Shared process-pool plumbing for the parallel profile and apply paths.
+"""The one process pool behind parallel profile and apply.
 
-Both fan-out layers (:mod:`repro.clustering.parallel` and
-:mod:`repro.engine.parallel`) follow the same discipline: submit tasks
-through a **bounded in-flight window** so a generator over a huge file
-is pulled at the pace results drain, yield results **strictly in input
-order**, and surface a dead worker as a :class:`~repro.util.errors.CLXError`
-instead of hanging the parent.  This module is that discipline in one
-place.
+Every fan-out in the package — the profiler's shard and chunk pools,
+:class:`~repro.engine.parallel.ShardedExecutor`,
+:class:`~repro.engine.parallel.ShardedTableExecutor` and
+:func:`~repro.engine.parallel.transform_table_parallel` — maps through a
+:class:`ResilientPool`: tasks go out through a **bounded in-flight
+window** so a generator over a huge file is pulled at the pace results
+drain, results come back **strictly in input order**, and a dead or
+hung worker is replayed, retried per :class:`FaultPolicy`, or surfaced
+as a :class:`~repro.util.errors.CLXError` after a hard teardown that
+orphans no process.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import islice
+from types import TracebackType
 from typing import (
     Any,
     Callable,
@@ -29,6 +33,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
     TypeVar,
 )
 
@@ -60,79 +65,13 @@ def indexed_chunks(
         base += len(chunk)
 
 
-_BROKEN_POOL_MESSAGE = (
-    "a worker process died before returning its result; "
-    "the pool is broken and the run was aborted"
-)
-
-
-def checked_result(future: "Future[Result]") -> Result:
-    """``future.result()`` with worker death translated into a CLXError.
-
-    ``concurrent.futures`` reports a worker process that died without
-    returning (killed, segfaulted, OOM'd) as ``BrokenProcessPool``;
-    exceptions *raised* inside a worker propagate with their own type.
-    """
-    try:
-        return future.result()
-    except BrokenProcessPool as error:
-        raise CLXError(_BROKEN_POOL_MESSAGE) from error
-
-
-def map_ordered(
-    pool: Executor,
-    fn: Callable[[Task], Result],
-    tasks: Iterable[Task],
-    window: int,
-) -> Iterator[Result]:
-    """Map ``fn`` over ``tasks`` through ``pool``, yielding results in order.
-
-    At most ``window`` tasks are in flight at a time, so ``tasks`` is
-    consumed lazily and memory stays proportional to the window size
-    regardless of input length.  Results are yielded in submission
-    order; a failed task raises (via :func:`checked_result`) at its
-    position in the output.
-    """
-    keyed = ((None, task) for task in tasks)
-    return (result for _, result in map_ordered_keyed(pool, fn, keyed, window))
-
-
-def map_ordered_keyed(
-    pool: Executor,
-    fn: Callable[[Task], Result],
-    keyed_tasks: Iterable[Tuple[Key, Task]],
-    window: int,
-) -> Iterator[Tuple[Key, Result]]:
-    """:func:`map_ordered` over ``(key, task)`` pairs, yielding ``(key, result)``.
-
-    Keys never cross the process boundary: the parent pairs each
-    submitted future with its key and re-attaches it when the result
-    drains, so tags like a partition index ride along for free.  Same
-    bounded window, same strict submission order, same dead-worker
-    translation as :func:`map_ordered`.
-    """
-    pending: "Deque[Tuple[Key, Future]]" = deque()
-    for key, task in keyed_tasks:
-        # submit() itself raises BrokenProcessPool once a worker has
-        # died mid-stream, so it needs the same translation as results.
-        try:
-            pending.append((key, pool.submit(fn, task)))
-        except BrokenProcessPool as error:
-            raise CLXError(_BROKEN_POOL_MESSAGE) from error
-        if len(pending) >= window:
-            ready, future = pending.popleft()
-            yield ready, checked_result(future)
-    while pending:
-        ready, future = pending.popleft()
-        yield ready, checked_result(future)
-
-
 @dataclass(frozen=True)
 class FaultPolicy:
     """How a :class:`ResilientPool` reacts to infrastructure failures.
 
-    The defaults — no retries, no timeout — reproduce the historical
-    behaviour exactly: the first dead worker aborts the run.  Retries
+    The defaults — no retries, no timeout — replay the in-flight window
+    once after a crash and abort on the first task that kills its
+    worker while running alone.  Retries
     apply only to *infrastructure* faults (a worker process dying, or a
     task exceeding ``shard_timeout``); exceptions raised by the task
     function itself are deterministic data errors and propagate
@@ -221,10 +160,10 @@ class ResilientPool(Generic[Task, Result]):
     Wraps a pool *factory* rather than a pool, because recovering from a
     dead or hung worker requires killing the broken
     ``ProcessPoolExecutor`` outright and building a fresh one.  The
-    mapping discipline matches :func:`map_ordered_keyed` — bounded
-    window, strict submission-order yield — with one addition: after any
-    infrastructure fault the backlog of in-flight tasks is replayed **in
-    serial isolation** (one task in flight at a time).  Isolation makes
+    mapping discipline is a bounded window with strict submission-order
+    yield, plus one addition: after any infrastructure fault the backlog
+    of in-flight tasks is replayed **in serial isolation** (one task in
+    flight at a time).  Isolation makes
     failure attribution exact: when only the head task was running, a
     dead pool names its culprit, so retry budgets are only ever charged
     to the task that actually failed and a poison task is detected
@@ -262,6 +201,22 @@ class ResilientPool(Generic[Task, Result]):
         if self._pool is not None:
             kill_pool(self._pool)
             self._pool = None
+
+    def __enter__(self) -> "ResilientPool[Task, Result]":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> None:
+        # On KeyboardInterrupt/SystemExit a graceful shutdown would wait
+        # on (possibly hung) running tasks; tear down hard instead.
+        if exc_type is not None and not issubclass(exc_type, Exception):
+            self.kill()
+        else:
+            self.close()
 
     def map_ordered_keyed(
         self,

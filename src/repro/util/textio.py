@@ -54,7 +54,7 @@ def decode_error_message(
     return (
         f"{source} line {line_number}: invalid UTF-8 byte 0x{bad:02x} at byte "
         f"offset {offset + error.start}; the pipeline reads UTF-8 — re-encode "
-        "the file, or divert the record with --on-error quarantine"
+        "the file"
     )
 
 

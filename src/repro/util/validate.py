@@ -66,23 +66,3 @@ def validated_memo_size(memo_size: int, name: str = "memo_size") -> int:
     if memo_size < 0:
         raise ValidationError(f"{name} must be >= 0, got {memo_size}")
     return memo_size
-
-
-def validated_adaptive_target(
-    target_ms: Optional[int], name: str = "adaptive_target_ms"
-) -> Optional[int]:
-    """Validate an adaptive-chunking latency target in milliseconds.
-
-    ``None`` means adaptive sizing is off (the static ``chunk_size`` /
-    ``shard_bytes`` knobs apply); an explicit target must be a positive
-    integer — a zero or negative latency band is meaningless.
-    """
-    if target_ms is None:
-        return None
-    if isinstance(target_ms, bool) or not isinstance(target_ms, int):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {type(target_ms).__name__}"
-        )
-    if target_ms < 1:
-        raise ValidationError(f"{name} must be >= 1, got {target_ms}")
-    return target_ms

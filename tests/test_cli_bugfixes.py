@@ -213,10 +213,9 @@ class TestApplyWorkers:
 class TestDispatchKnobs:
     """CLI contract for the hot-loop dispatch knobs.
 
-    ``--memo-size`` and ``--adaptive-chunks`` are pure performance
-    knobs: bad values exit 2 with a usage error naming the flag, and
-    any valid setting leaves the output bytes identical to a default
-    run.
+    ``--memo-size`` is a pure performance knob: bad values exit 2 with
+    a usage error naming the flag, and any valid setting leaves the
+    output bytes identical to a default run.
     """
 
     def _apply(self, artifact, source, output, *extra):
@@ -230,14 +229,6 @@ class TestDispatchKnobs:
         assert code == 2
         assert "--memo-size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_non_positive_adaptive_target_is_an_error(
-        self, artifact, phone_csv, value, capsys
-    ):
-        code = main(["apply", str(artifact), str(phone_csv), "--adaptive-chunks", value])
-        assert code == 2
-        assert "--adaptive-chunks" in capsys.readouterr().err
-
     def test_memo_size_zero_disables_the_memo_but_still_applies(
         self, artifact, phone_csv, tmp_path
     ):
@@ -246,16 +237,3 @@ class TestDispatchKnobs:
         assert self._apply(artifact, phone_csv, default) == 0
         assert self._apply(artifact, phone_csv, unmemoized, "--memo-size", "0") == 0
         assert unmemoized.read_bytes() == default.read_bytes()
-
-    def test_adaptive_chunks_keeps_output_identical(self, artifact, phone_csv, tmp_path):
-        static = tmp_path / "static.csv"
-        adaptive = tmp_path / "adaptive.csv"
-        assert self._apply(artifact, phone_csv, static) == 0
-        assert (
-            self._apply(
-                artifact, phone_csv, adaptive,
-                "--adaptive-chunks", "50", "--workers", "2", "--chunk-size", "2",
-            )
-            == 0
-        )
-        assert adaptive.read_bytes() == static.read_bytes()

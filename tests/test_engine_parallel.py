@@ -9,7 +9,6 @@ never a semantics change.
 
 from __future__ import annotations
 
-import csv
 import os
 
 import pytest
@@ -17,8 +16,7 @@ import pytest
 from repro.bench.phone import phone_dataset
 from repro.bench.suite import benchmark_suite
 from repro.core.session import CLXSession
-from repro.dataset import Dataset
-from repro.engine.parallel import AdaptiveChunker, ShardedExecutor, ShardedTableExecutor
+from repro.engine.parallel import ShardedExecutor
 from repro.util.errors import CLXError, SynthesisError, ValidationError
 
 
@@ -175,115 +173,3 @@ class TestRunParallelFallback:
         values, _ = phone_dataset(count=20, format_count=4, seed=43)
         report = phone_engine.run_parallel(iter(values), workers=1)
         assert report.row_count == 20
-
-
-class TestAdaptiveChunker:
-    def _chunker(self, **overrides):
-        kwargs = dict(initial=64, minimum=4, maximum=1024, target_seconds=0.05)
-        kwargs.update(overrides)
-        return AdaptiveChunker(**kwargs)
-
-    def test_slow_tasks_halve_the_size(self):
-        sizer = self._chunker()
-        sizer.observe(0.2)  # > 2x the 50ms target
-        assert sizer.size == 32
-        sizer.observe(0.2)
-        assert sizer.size == 16
-
-    def test_fast_tasks_double_the_size(self):
-        sizer = self._chunker()
-        sizer.observe(0.01)  # < half the 50ms target
-        assert sizer.size == 128
-
-    def test_in_band_latency_keeps_the_size(self):
-        sizer = self._chunker()
-        for seconds in (0.03, 0.05, 0.09):  # within [target/2, 2*target]
-            sizer.observe(seconds)
-        assert sizer.size == 64
-
-    def test_size_clamps_at_the_bounds(self):
-        sizer = self._chunker(initial=8, minimum=4, maximum=16)
-        for _ in range(5):
-            sizer.observe(1.0)
-        assert sizer.size == 4
-        for _ in range(10):
-            sizer.observe(0.0001)
-        assert sizer.size == 16
-
-    def test_initial_size_is_clamped_into_bounds(self):
-        assert self._chunker(initial=1, minimum=4, maximum=16).size == 4
-        assert self._chunker(initial=9999, minimum=4, maximum=16).size == 16
-
-    @pytest.mark.parametrize("minimum,maximum", [(0, 10), (-1, 10), (8, 4)])
-    def test_invalid_bounds_are_rejected(self, minimum, maximum):
-        with pytest.raises(ValidationError, match="adaptive bounds"):
-            self._chunker(minimum=minimum, maximum=maximum)
-
-    @pytest.mark.parametrize("target", [0, -0.5])
-    def test_non_positive_target_is_rejected(self, target):
-        with pytest.raises(ValidationError, match="adaptive target"):
-            self._chunker(target_seconds=target)
-
-    def test_stats_report_samples_mean_and_size(self):
-        sizer = self._chunker()
-        assert sizer.stats() == {"samples": 0.0, "mean_seconds": 0.0, "size": 64.0}
-        sizer.observe(0.04)
-        sizer.observe(0.06)
-        stats = sizer.stats()
-        assert stats["samples"] == 2.0
-        assert stats["mean_seconds"] == pytest.approx(0.05)
-        assert stats["size"] == 64.0
-
-
-class TestAdaptiveExecutor:
-    @pytest.fixture
-    def phone_csv(self, tmp_path):
-        values, _ = phone_dataset(count=60, format_count=4, seed=29)
-        path = tmp_path / "phones.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["phone"])
-            writer.writerows([value] for value in values)
-        return path, values
-
-    def test_static_executor_reports_no_sizers(self, phone_engine):
-        with ShardedTableExecutor({"phone": phone_engine}, ["phone"], workers=1) as executor:
-            assert executor.adaptive_target_ms is None
-            assert executor.adaptive_stats() == {}
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
-    def test_invalid_adaptive_target_is_rejected(self, phone_engine, bad):
-        with pytest.raises(ValidationError, match="adaptive_target_ms"):
-            ShardedTableExecutor(
-                {"phone": phone_engine}, ["phone"], workers=1, adaptive_target_ms=bad
-            )
-
-    def test_adaptive_run_records_samples_and_keeps_bytes(self, phone_engine, phone_csv):
-        path, values = phone_csv
-        dataset = Dataset.resolve(str(path))
-
-        def run(target_ms):
-            with ShardedTableExecutor(
-                {"phone": phone_engine},
-                ["phone"],
-                workers=1,
-                chunk_size=8,
-                adaptive_target_ms=target_ms,
-            ) as executor:
-                chunks = list(executor.run_dataset(dataset.parts, shard_bytes=256))
-                # The shard sizer paces run_dataset; the line sizer paces
-                # the run_chunks path — drive both before reading stats.
-                list(executor.run_csv_file(path))
-                return (
-                    "".join(chunk.text for _, chunk in chunks),
-                    executor.adaptive_stats(),
-                )
-
-        static_text, static_stats = run(None)
-        adaptive_text, stats = run(1)  # 1ms target: resizes aggressively
-        assert adaptive_text == static_text  # sizing never changes sink bytes
-        assert static_stats == {}
-        assert set(stats) == {"chunk_lines", "shard_bytes"}
-        assert stats["chunk_lines"]["samples"] > 0
-        assert stats["shard_bytes"]["samples"] > 0
-        assert stats["chunk_lines"]["size"] >= 1.0

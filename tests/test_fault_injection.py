@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.bench.phone import phone_dataset
+from repro.clustering.parallel import ParallelProfiler
 from repro.core.session import CLXSession
 from repro.dataset import Dataset
 from repro.engine.parallel import ShardedTableExecutor, apply_dataset
@@ -565,6 +566,38 @@ class TestPoolTeardown:
                 process.kill()
                 process.wait()
         assert code == 42
+
+
+def _leaf_signature(profile):
+    return [
+        (node.pattern.notation(), node.size)
+        for node in profile.to_hierarchy().leaf_nodes
+    ]
+
+
+class TestProfileFaults:
+    """Profiling shares apply's pool: crash replay and hard teardown."""
+
+    @pytest.fixture
+    def parts(self, tmp_path):
+        values, _ = phone_dataset(count=45, format_count=4, seed=21)
+        dataset = _write_parts(tmp_path, values)
+        serial = ParallelProfiler(workers=1).profile_dataset(dataset, "phone")
+        return dataset, _leaf_signature(serial)
+
+    def test_single_shard_crash_is_replayed_to_the_serial_profile(self, parts, arm):
+        dataset, expected = parts
+        arm("worker.shard:crash:*:once")
+        profile = ParallelProfiler(workers=2).profile_dataset(dataset, "phone")
+        assert _leaf_signature(profile) == expected
+        assert _join_children() == []
+
+    def test_poison_shard_crash_raises_and_leaves_no_orphans(self, parts, arm):
+        dataset, _ = parts
+        arm("worker.shard:crash:*")
+        with pytest.raises(CLXError, match="worker process died"):
+            ParallelProfiler(workers=2).profile_dataset(dataset, "phone")
+        assert _join_children() == []
 
 
 class TestRandomizedFaults:

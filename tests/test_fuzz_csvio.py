@@ -5,9 +5,10 @@ The byte-range fan-out stands on two primitives in :mod:`repro.util.csvio`:
 * :func:`record_open_after` — the per-line quote-parity state machine
   (csv-module semantics: a quote is only special at field start, ``""``
   escapes, a stray inch-mark in an unquoted cell is data);
-* :func:`record_aligned_offsets` — one sequential scan mapping byte
-  targets to *record* boundaries, which is what lets shards split files
-  whose quoted fields contain embedded newlines.
+* :func:`iter_record_cut_points` — one sequential scan mapping byte
+  targets to *record* boundaries (with their line numbers), which is
+  what lets shards split files whose quoted fields contain embedded
+  newlines.
 
 The fuzz corpus generates messy CSVs — quoted embedded newlines, ``""``
 escapes, stray quotes in unquoted cells, empty fields, CRLF endings —
@@ -15,7 +16,8 @@ and asserts, at random shard boundaries:
 
 1. the state machine agrees with the csv module's own parse about where
    records end;
-2. aligned offsets always land on true record starts;
+2. aligned offsets always land on true record starts, tagged with the
+   physical line number beginning there;
 3. byte-range profiling equals whole-file profiling (the lifted
    embedded-newline caveat), at multiple worker counts;
 4. the quote-free exit and quote-to-quote jumps of
@@ -34,7 +36,7 @@ import pytest
 
 from repro.clustering.incremental import IncrementalProfiler
 from repro.clustering.parallel import ParallelProfiler
-from repro.util.csvio import record_aligned_offsets, record_open_after
+from repro.util.csvio import iter_record_cut_points, record_open_after
 
 #: Fuzz rounds per property.
 ROUNDS = 25
@@ -207,12 +209,14 @@ class TestRecordAlignedOffsets:
             true_starts = set(starts) | {len(raw)}
 
             targets = sorted(rng.randrange(len(raw) + 1) for _ in range(rng.randint(1, 6)))
-            aligned = record_aligned_offsets(str(path), 0, len(raw), targets)
+            cuts = list(iter_record_cut_points(str(path), 0, len(raw), targets))
+            aligned = [offset for offset, _ in cuts]
             assert len(aligned) == len(targets), context
             assert aligned == sorted(aligned), context
-            for target, offset in zip(targets, aligned):
+            for target, (offset, line) in zip(targets, cuts):
                 assert offset >= target, context
                 assert offset in true_starts, (context, target, offset)
+                assert line == raw.count(b"\n", 0, offset) + 1, (context, offset, line)
 
     def test_splitting_at_aligned_offsets_partitions_the_records(
         self, property_rng, tmp_path
@@ -226,7 +230,7 @@ class TestRecordAlignedOffsets:
             targets = sorted(rng.randrange(len(raw) + 1) for _ in range(rng.randint(1, 5)))
             bounds = (
                 [0]
-                + record_aligned_offsets(str(path), 0, len(raw), targets)
+                + [offset for offset, _ in iter_record_cut_points(str(path), 0, len(raw), targets)]
                 + [len(raw)]
             )
             pieces = [

@@ -9,7 +9,7 @@ from repro.util.rand import DEFAULT_SEED, digits, letters, make_rng, weighted_ch
 from repro.util.sinks import AtomicSink
 from repro.util.text import common_prefix_length, format_table, truncate
 from repro.util.timing import Stopwatch
-from repro.util.validate import validated_adaptive_target, validated_memo_size
+from repro.util.validate import validated_memo_size
 
 
 class TestErrors:
@@ -106,18 +106,6 @@ class TestValidators:
     def test_memo_size_rejects_bad_values(self, bad):
         with pytest.raises(ValidationError, match="--memo-size"):
             validated_memo_size(bad, "--memo-size")
-
-    def test_adaptive_target_none_means_off(self):
-        assert validated_adaptive_target(None) is None
-
-    @pytest.mark.parametrize("good", [1, 50, 10_000])
-    def test_adaptive_target_accepts_positive_ints(self, good):
-        assert validated_adaptive_target(good) == good
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "50", True])
-    def test_adaptive_target_rejects_bad_values(self, bad):
-        with pytest.raises(ValidationError, match="--adaptive-chunks"):
-            validated_adaptive_target(bad, "--adaptive-chunks")
 
 
 class TestAtomicSink:
